@@ -1,140 +1,166 @@
 #include "collisions/bgk.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "math/gauss_legendre.hpp"
+#include "math/legendre.hpp"
 #include "par/thread_exec.hpp"
 
 namespace vdg {
 
+namespace {
+
+/// Per-thread scratch for the factor tables and one cell's coefficients.
+/// Capacity is retained, so the passes are allocation-free after warm-up
+/// (per thread: pool workers run chunks concurrently).
+double* threadScratch(std::size_t n) {
+  static thread_local std::vector<double> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+}  // namespace
+
 BgkUpdater::BgkUpdater(const BasisSpec& spec, const Grid& phaseGrid, const BgkParams& params)
-    : phase_(&basisFor(spec)), exec_(&ThreadExec::global()), grid_(phaseGrid), params_(params),
-      cdim_(spec.cdim), vdim_(spec.vdim), np_(phase_->numModes()),
-      npc_(basisFor(spec.configSpec()).numModes()),
+    : exec_(&ThreadExec::global()), grid_(phaseGrid), params_(params), cdim_(spec.cdim),
+      vdim_(spec.vdim), np_(basisFor(spec).numModes()), nk_(spec.polyOrder + 1),
       mom_(std::make_unique<MomentUpdater>(spec, phaseGrid)) {
   if (phaseGrid.ndim != spec.ndim())
     throw std::invalid_argument("BgkUpdater: grid/basis dimensionality mismatch");
-  const int nq1 = spec.polyOrder + 2;
-  const QuadRule rule = gauss_legendre(nq1);
-  const int nd = spec.ndim();
-  nq_ = 1;
-  for (int d = 0; d < nd; ++d) nq_ *= nq1;
-  quadNodes_.resize(static_cast<std::size_t>(nq_) * nd);
-  quadWeights_.resize(static_cast<std::size_t>(nq_));
-  basisAt_.resize(static_cast<std::size_t>(nq_) * np_);
-  std::vector<int> id(static_cast<std::size_t>(nd), 0);
-  for (int q = 0; q < nq_; ++q) {
-    double w = 1.0;
-    for (int d = 0; d < nd; ++d) {
-      quadNodes_[static_cast<std::size_t>(q) * nd + d] =
-          rule.nodes[static_cast<std::size_t>(id[static_cast<std::size_t>(d)])];
-      w *= rule.weights[static_cast<std::size_t>(id[static_cast<std::size_t>(d)])];
-    }
-    quadWeights_[static_cast<std::size_t>(q)] = w;
-    phase_->evalAll(&quadNodes_[static_cast<std::size_t>(q) * nd],
-                    &basisAt_[static_cast<std::size_t>(q) * np_]);
-    for (int d = 0; d < nd; ++d) {
-      if (++id[static_cast<std::size_t>(d)] < nq1) break;
-      id[static_cast<std::size_t>(d)] = 0;
-    }
+  if (vdim_ < 1 || vdim_ > 3) throw std::invalid_argument("BgkUpdater: vdim must be in [1, 3]");
+
+  const QuadRule rule = gauss_legendre(spec.polyOrder + 2);
+  quadNodes_ = rule.nodes;
+  quadWeights_ = rule.weights;
+  const std::size_t nq = rule.size();
+  psiAt_.resize(static_cast<std::size_t>(nk_) * nq);
+  for (int k = 0; k < nk_; ++k)
+    for (std::size_t q = 0; q < nq; ++q)
+      psiAt_[static_cast<std::size_t>(k) * nq + q] = legendrePsi(k, rule.nodes[q]);
+
+  const Basis& phase = basisFor(spec);
+  for (int l = 0; l < np_; ++l) {
+    const MultiIndex& a = phase.mode(l);
+    if (a.totalDegree(cdim_) != 0) continue;
+    VelMode vm{l, {0, 0, 0}};
+    for (int j = 0; j < vdim_; ++j) vm.a[static_cast<std::size_t>(j)] = a[cdim_ + j];
+    velModes_.push_back(vm);
+  }
+
+  const auto& tab = LegendreTables::instance();
+  for (int j = 0; j < vdim_; ++j) {
+    tabOff_[static_cast<std::size_t>(j)] = tabSize_;
+    tabSize_ += static_cast<std::size_t>(grid_.cells[static_cast<std::size_t>(cdim_ + j)]) *
+                static_cast<std::size_t>(nk_);
+    m0Weight_ *= 0.5 * grid_.dx(cdim_ + j) * tab.xmom(0, 0);
   }
 }
 
-void BgkUpdater::projectMaxwellian(const Field& f, Field& out) const {
-  const Grid confGrid = mom_->confGrid();
-  Field m0(confGrid, npc_), m1(confGrid, 3 * npc_), m2(confGrid, npc_);
-  mom_->compute(f, &m0, &m1, &m2);
-  const int nd = grid_.ndim;
+template <typename Emit>
+void BgkUpdater::forEachMaxwellianCell(const Field& f, const Emit& emit) const {
   int confHi[kMaxDim], velHi[kMaxDim];
   for (int d = 0; d < cdim_; ++d) confHi[d] = grid_.cells[static_cast<std::size_t>(d)];
   for (int j = 0; j < vdim_; ++j) velHi[j] = grid_.cells[static_cast<std::size_t>(cdim_ + j)];
   const std::size_t nvel = boxSize(vdim_, velHi);
-  // All velocity cells of one configuration cell, in odometer order.
-  // Generic callables throughout so the per-cell bodies stay inlinable.
-  const auto forEachVelCell = [&](const MultiIndex& cidx, const auto& fn) {
-    forEachIndexInRange(vdim_, velHi, 0, nvel, [&](const MultiIndex& vi) {
-      MultiIndex idx = cidx;
-      for (int j = 0; j < vdim_; ++j) idx[cdim_ + j] = vi[j];
-      fn(idx);
-    });
-  };
+  const std::size_t nq = quadNodes_.size();
+  const double avgFac = std::pow(2.0, -0.5 * cdim_);
 
   // Parallel over configuration cells: each one owns all its velocity
-  // cells, so the chunked loops below write disjoint slabs of `out`.
-  const auto forEachConf = [&](const auto& fn) {
-    chunkedFor(exec_, boxSize(cdim_, confHi), [&](std::size_t begin, std::size_t end) {
-      forEachIndexInRange(cdim_, confHi, begin, end, fn);
-    });
-  };
+  // cells, so chunks write disjoint slabs.
+  chunkedFor(exec_, boxSize(cdim_, confHi), [&](std::size_t begin, std::size_t end) {
+    double* tab = threadScratch(tabSize_ + static_cast<std::size_t>(np_));
+    double* fM = tab + tabSize_;
+    std::fill(fM, fM + np_, 0.0);  // modes of nonzero configuration degree stay 0
 
-  forEachConf([&](const MultiIndex& ci) {
-    const MultiIndex cidx = ci;
-    // The cell average of a DG expansion is coeff_0 * 2^{-d/2}; vacuum
-    // cells (nAvg <= 0) get a zero Maxwellian via norm = 0 below.
-    const double nAvg = m0.at(cidx)[0] * std::pow(2.0, -0.5 * cdim_);
-    double uAvg[3] = {0.0, 0.0, 0.0};
-    for (int j = 0; j < vdim_; ++j)
-      uAvg[j] = (nAvg > 0.0)
-                    ? m1.at(cidx)[j * npc_] * std::pow(2.0, -0.5 * cdim_) / nAvg
-                    : 0.0;
-    double m2Avg = m2.at(cidx)[0] * std::pow(2.0, -0.5 * cdim_);
-    double u2 = 0.0;
-    for (int j = 0; j < vdim_; ++j) u2 += uAvg[j] * uAvg[j];
-    double vt2 = (nAvg > 0.0) ? (m2Avg / nAvg - u2) / vdim_ : 1.0;
-    vt2 = std::max(vt2, 1e-14);
+    forEachIndexInRange(cdim_, confHi, begin, end, [&](const MultiIndex& cidx) {
+      // 1. Cell averages n, u, vt^2. The cell average of a DG expansion is
+      //    coeff_0 * 2^{-d/2}; vacuum cells (nAvg <= 0) get a zero
+      //    Maxwellian via c = 0 below.
+      double m0, m1[3], m2;
+      mom_->confMode0(f, cidx, m0, m1, m2);
+      const double nAvg = m0 * avgFac;
+      double uAvg[3] = {0.0, 0.0, 0.0};
+      for (int j = 0; j < vdim_; ++j) uAvg[j] = (nAvg > 0.0) ? m1[j] * avgFac / nAvg : 0.0;
+      double u2 = 0.0;
+      for (int j = 0; j < vdim_; ++j) u2 += uAvg[j] * uAvg[j];
+      double vt2 = (nAvg > 0.0) ? (m2 * avgFac / nAvg - u2) / vdim_ : 1.0;
+      vt2 = std::max(vt2, 1e-14);
 
-    const double norm =
-        (nAvg > 0.0) ? nAvg / std::pow(2.0 * std::numbers::pi * vt2, 0.5 * vdim_) : 0.0;
-
-    // Project in every velocity cell of this configuration cell, then
-    // rescale so collisional density change is exactly zero.
-    forEachVelCell(cidx, [&](const MultiIndex& idx) {
-      double* oc = out.at(idx);
-      for (int l = 0; l < np_; ++l) oc[l] = 0.0;
-      for (int q = 0; q < nq_; ++q) {
-        double arg = 0.0;
-        for (int j = 0; j < vdim_; ++j) {
-          const int d = cdim_ + j;
-          const double v = grid_.cellCenter(d, idx[d]) +
-                           0.5 * grid_.dx(d) * quadNodes_[static_cast<std::size_t>(q) * nd + d];
-          const double dv = v - uAvg[j];
-          arg += dv * dv;
+      // 2. The 1-D factor tables g_j[i][k], and M0[f_M] up to the constant
+      //    c: den = J_v (sqrt 2)^vdim prod_j sum_i g_j[i][0].
+      double den = m0Weight_;
+      for (int j = 0; j < vdim_; ++j) {
+        const int d = cdim_ + j;
+        const double h = 0.5 * grid_.dx(d);
+        double* g = tab + tabOff_[static_cast<std::size_t>(j)];
+        double g0Sum = 0.0;
+        for (int i = 0; i < velHi[j]; ++i, g += nk_) {
+          const double vc = grid_.cellCenter(d, i);
+          std::fill(g, g + nk_, 0.0);
+          for (std::size_t q = 0; q < nq; ++q) {
+            const double dv = vc + h * quadNodes_[q] - uAvg[j];
+            const double wq = quadWeights_[q] * std::exp(-0.5 * dv * dv / vt2);
+            for (int k = 0; k < nk_; ++k) g[k] += wq * psiAt_[static_cast<std::size_t>(k) * nq + q];
+          }
+          g0Sum += g[0];
         }
-        const double val = norm * std::exp(-0.5 * arg / vt2);
-        const double wq = quadWeights_[static_cast<std::size_t>(q)];
-        const double* wl = &basisAt_[static_cast<std::size_t>(q) * np_];
-        for (int l = 0; l < np_; ++l) oc[l] += wq * val * wl[l];
+        den *= g0Sum;
       }
-    });
-  });
 
-  // Density-conserving rescale: lambda(x) cell-wise so M0[f_M] == M0[f].
-  Field m0M(confGrid, npc_);
-  mom_->compute(out, &m0M, nullptr, nullptr);
-  forEachConf([&](const MultiIndex& ci) {
-    const double a = m0.at(ci)[0];
-    const double b = m0M.at(ci)[0];
-    if (std::abs(b) < 1e-300) return;
-    const double s = a / b;
-    forEachVelCell(ci, [&](const MultiIndex& idx) {
-      double* oc = out.at(idx);
-      for (int l = 0; l < np_; ++l) oc[l] *= s;
+      // 3-4. c = s * n / (2 pi vt^2)^{vdim/2} * (sqrt 2)^cdim with the
+      //    exact-M0 rescale s = M0[f] / M0[f_M]: the normalization cancels.
+      //    An underflowed projection deposits the density in the velocity
+      //    cell containing u instead (indicator tables, same formula).
+      double c = 0.0;
+      if (nAvg > 0.0) {
+        if (!(den > 1e-300)) {
+          std::fill(tab, tab + tabSize_, 0.0);
+          for (int j = 0; j < vdim_; ++j) {
+            const int d = cdim_ + j;
+            const double lo = grid_.cellCenter(d, 0) - 0.5 * grid_.dx(d);
+            const double x = std::floor((uAvg[j] - lo) / grid_.dx(d));
+            const int i = x >= velHi[j] ? velHi[j] - 1 : (x >= 0.0 ? static_cast<int>(x) : 0);
+            tab[tabOff_[static_cast<std::size_t>(j)] + static_cast<std::size_t>(i * nk_)] = 1.0;
+          }
+          den = m0Weight_;
+        }
+        c = m0 / den;
+      }
+
+      // 5. The rescaled Maxwellian, one velocity cell at a time.
+      forEachIndexInRange(vdim_, velHi, 0, nvel, [&](const MultiIndex& vi) {
+        MultiIndex idx = cidx;
+        const double* gj[3];
+        for (int j = 0; j < vdim_; ++j) {
+          idx[cdim_ + j] = vi[j];
+          gj[j] = tab + tabOff_[static_cast<std::size_t>(j)] +
+                  static_cast<std::size_t>(vi[j] * nk_);
+        }
+        for (const VelMode& vm : velModes_) {
+          double v = c;
+          for (int j = 0; j < vdim_; ++j) v *= gj[j][vm.a[static_cast<std::size_t>(j)]];
+          fM[vm.l] = v;
+        }
+        emit(idx, fM);
+      });
     });
   });
 }
 
+void BgkUpdater::projectMaxwellian(const Field& f, Field& out) const {
+  forEachMaxwellianCell(f, [&](const MultiIndex& idx, const double* fM) {
+    std::copy(fM, fM + np_, out.at(idx));
+  });
+}
+
 double BgkUpdater::advance(const Field& f, Field& rhs) const {
-  Field fM(grid_, np_, f.nghost());
-  projectMaxwellian(f, fM);
   const double nu = params_.collisionFreq;
-  parallelForEachCell(exec_, grid_, [&](const MultiIndex& idx) {
+  forEachMaxwellianCell(f, [&](const MultiIndex& idx, const double* fM) {
     const double* fc = f.at(idx);
-    const double* mc = fM.at(idx);
     double* rc = rhs.at(idx);
-    for (int l = 0; l < np_; ++l) rc[l] += nu * (mc[l] - fc[l]);
+    for (int l = 0; l < np_; ++l) rc[l] += nu * (fM[l] - fc[l]);
   });
   return nu;
 }

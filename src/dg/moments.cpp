@@ -18,14 +18,25 @@ MomentUpdater::MomentUpdater(const BasisSpec& phaseSpec, const Grid& phaseGrid)
       npc_(conf_->numModes()) {
   if (phaseGrid.ndim != phaseSpec.ndim())
     throw std::invalid_argument("MomentUpdater: grid/basis dimensionality mismatch");
-  t0_ = buildTape(MultiIndex{});
+  all_.t0 = buildTape(MultiIndex{});
   for (int j = 0; j < vdim_; ++j) {
     MultiIndex m1;
     m1[j] = 1;
-    t1_.push_back(buildTape(m1));
+    all_.t1.push_back(buildTape(m1));
     MultiIndex m2;
     m2[j] = 2;
-    t2_.push_back(buildTape(m2));
+    all_.t2.push_back(buildTape(m2));
+  }
+  const auto mode0 = [](const MomTape& t) {
+    MomTape z;
+    for (const auto& term : t.terms)
+      if (term.k == 0) z.terms.push_back(term);
+    return z;
+  };
+  mode0_.t0 = mode0(all_.t0);
+  for (int j = 0; j < vdim_; ++j) {
+    mode0_.t1.push_back(mode0(all_.t1[static_cast<std::size_t>(j)]));
+    mode0_.t2.push_back(mode0(all_.t2[static_cast<std::size_t>(j)]));
   }
 }
 
@@ -64,6 +75,38 @@ MomentUpdater::MomTape MomentUpdater::buildTape(const MultiIndex& velMonomial) c
   return tape;
 }
 
+void MomentUpdater::accumulateCell(const TapeSet& tapes, const MultiIndex& idx, const double* fc,
+                                   double jacV, double* m0, double* m1, int m1Stride,
+                                   double* m2) const {
+  double wc[kMaxDim], hdv[kMaxDim];
+  for (int j = 0; j < vdim_; ++j) {
+    wc[j] = grid_.cellCenter(cdim_ + j, idx[cdim_ + j]);
+    hdv[j] = 0.5 * grid_.dx(cdim_ + j);
+  }
+
+  if (m0) {
+    for (const auto& t : tapes.t0.terms) m0[t.k] += jacV * t.c * fc[t.l];
+  }
+  if (m1) {
+    for (int j = 0; j < vdim_; ++j) {
+      double* oj = m1 + j * m1Stride;
+      for (const auto& t : tapes.t0.terms) oj[t.k] += jacV * wc[j] * t.c * fc[t.l];
+      for (const auto& t : tapes.t1[static_cast<std::size_t>(j)].terms)
+        oj[t.k] += jacV * hdv[j] * t.c * fc[t.l];
+    }
+  }
+  if (m2) {
+    for (int j = 0; j < vdim_; ++j) {
+      const double w2 = wc[j] * wc[j];
+      for (const auto& t : tapes.t0.terms) m2[t.k] += jacV * w2 * t.c * fc[t.l];
+      for (const auto& t : tapes.t1[static_cast<std::size_t>(j)].terms)
+        m2[t.k] += jacV * 2.0 * wc[j] * hdv[j] * t.c * fc[t.l];
+      for (const auto& t : tapes.t2[static_cast<std::size_t>(j)].terms)
+        m2[t.k] += jacV * hdv[j] * hdv[j] * t.c * fc[t.l];
+    }
+  }
+}
+
 void MomentUpdater::compute(const Field& f, Field* m0, Field* m1, Field* m2) const {
   assert(f.ncomp() == np_);
   assert(!m0 || m0->ncomp() == npc_);
@@ -80,38 +123,30 @@ void MomentUpdater::compute(const Field& f, Field* m0, Field* m1, Field* m2) con
   forEachCell(grid_, [&](const MultiIndex& idx) {
     MultiIndex cidx;
     for (int d = 0; d < cdim_; ++d) cidx[d] = idx[d];
-    const double* fc = f.at(idx);
+    accumulateCell(all_, idx, f.at(idx), jacV, m0 ? m0->at(cidx) : nullptr,
+                   m1 ? m1->at(cidx) : nullptr, npc_, m2 ? m2->at(cidx) : nullptr);
+  });
+}
 
-    double wc[kMaxDim], hdv[kMaxDim];
-    for (int j = 0; j < vdim_; ++j) {
-      wc[j] = grid_.cellCenter(cdim_ + j, idx[cdim_ + j]);
-      hdv[j] = 0.5 * grid_.dx(cdim_ + j);
-    }
+void MomentUpdater::confMode0(const Field& f, const MultiIndex& confIdx, double& m0, double* m1,
+                              double& m2) const {
+  assert(f.ncomp() == np_);
+  double jacV = 1.0;
+  int velHi[kMaxDim];
+  for (int j = 0; j < vdim_; ++j) {
+    jacV *= 0.5 * grid_.dx(cdim_ + j);
+    velHi[j] = grid_.cells[static_cast<std::size_t>(cdim_ + j)];
+  }
+  m0 = 0.0;
+  m2 = 0.0;
+  for (int j = 0; j < vdim_; ++j) m1[j] = 0.0;
 
-    if (m0) {
-      double* out = m0->at(cidx);
-      for (const auto& t : t0_.terms) out[t.k] += jacV * t.c * fc[t.l];
-    }
-    if (m1) {
-      double* out = m1->at(cidx);
-      for (int j = 0; j < vdim_; ++j) {
-        double* oj = out + j * npc_;
-        for (const auto& t : t0_.terms) oj[t.k] += jacV * wc[j] * t.c * fc[t.l];
-        for (const auto& t : t1_[static_cast<std::size_t>(j)].terms)
-          oj[t.k] += jacV * hdv[j] * t.c * fc[t.l];
-      }
-    }
-    if (m2) {
-      double* out = m2->at(cidx);
-      for (int j = 0; j < vdim_; ++j) {
-        const double w2 = wc[j] * wc[j];
-        for (const auto& t : t0_.terms) out[t.k] += jacV * w2 * t.c * fc[t.l];
-        for (const auto& t : t1_[static_cast<std::size_t>(j)].terms)
-          out[t.k] += jacV * 2.0 * wc[j] * hdv[j] * t.c * fc[t.l];
-        for (const auto& t : t2_[static_cast<std::size_t>(j)].terms)
-          out[t.k] += jacV * hdv[j] * hdv[j] * t.c * fc[t.l];
-      }
-    }
+  // compute()'s velocity-cell order and accumulation body on the mode-0
+  // tapes: each accumulator sees the same addends in the same order.
+  forEachIndexInRange(vdim_, velHi, 0, boxSize(vdim_, velHi), [&](const MultiIndex& vi) {
+    MultiIndex idx = confIdx;
+    for (int j = 0; j < vdim_; ++j) idx[cdim_ + j] = vi[j];
+    accumulateCell(mode0_, idx, f.at(idx), jacV, &m0, m1, 1, &m2);
   });
 }
 
@@ -129,8 +164,8 @@ void MomentUpdater::accumulateCurrent(const Field& f, double charge, Field& curr
       const double wc = grid_.cellCenter(cdim_ + j, idx[cdim_ + j]);
       const double hdv = 0.5 * grid_.dx(cdim_ + j);
       double* oj = out + j * npc_;
-      for (const auto& t : t0_.terms) oj[t.k] += charge * jacV * wc * t.c * fc[t.l];
-      for (const auto& t : t1_[static_cast<std::size_t>(j)].terms)
+      for (const auto& t : all_.t0.terms) oj[t.k] += charge * jacV * wc * t.c * fc[t.l];
+      for (const auto& t : all_.t1[static_cast<std::size_t>(j)].terms)
         oj[t.k] += charge * jacV * hdv * t.c * fc[t.l];
     }
   });

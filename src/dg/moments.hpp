@@ -30,6 +30,14 @@ class MomentUpdater {
   /// Pass nullptr to skip a moment.
   void compute(const Field& f, Field* m0, Field* m1, Field* m2) const;
 
+  /// Mode 0 of M0, M1 (vdim components) and M2 at one configuration cell,
+  /// from that cell's velocity block alone. Runs compute()'s accumulation
+  /// body on the mode-0 tapes in compute()'s velocity-cell order, so the
+  /// results are bitwise equal to compute()'s mode-0 coefficients there —
+  /// without the three Fields.
+  void confMode0(const Field& f, const MultiIndex& confIdx, double& m0, double* m1,
+                 double& m2) const;
+
   /// current += charge * M1(f): the species' contribution to the plasma
   /// current in Ampere's law (3*numConfModes components).
   void accumulateCurrent(const Field& f, double charge, Field& current) const;
@@ -46,13 +54,23 @@ class MomentUpdater {
   };
   [[nodiscard]] MomTape buildTape(const MultiIndex& velMonomial) const;
 
+  struct TapeSet {
+    MomTape t0;               // weight 1
+    std::vector<MomTape> t1;  // weight eta_j, per velocity dim
+    std::vector<MomTape> t2;  // weight eta_j^2, per velocity dim
+  };
+  /// The one moment-accumulation body: adds phase cell idx (coefficients
+  /// fc) to m0/m1/m2 through `tapes`; a null accumulator is skipped, and
+  /// m1's vdim components lie m1Stride apart.
+  void accumulateCell(const TapeSet& tapes, const MultiIndex& idx, const double* fc, double jacV,
+                      double* m0, double* m1, int m1Stride, double* m2) const;
+
   const Basis* phase_;
   const Basis* conf_;
   Grid grid_;
   int cdim_, vdim_, np_, npc_;
-  MomTape t0_;                     // weight 1
-  std::vector<MomTape> t1_;        // weight eta_j, per velocity dim
-  std::vector<MomTape> t2_;        // weight eta_j^2, per velocity dim
+  TapeSet all_;    // every configuration mode
+  TapeSet mode0_;  // restricted to configuration mode 0 (confMode0)
 };
 
 /// Primitive (fluid) moments by weak division in the configuration basis:

@@ -1,11 +1,12 @@
 #pragma once
 // Gauss-Legendre quadrature rules on [-1,1].
 //
-// These rules are used only at *setup* time: to evaluate (exactly, since the
-// integrands are polynomials of known degree) the 1-D building-block
-// integrals from which every DG tensor is assembled, and to project initial
-// conditions. The runtime update path of the modal solver performs no
-// quadrature whatsoever (see tensors/).
+// At setup these rules evaluate (exactly, since the integrands are
+// polynomials of known degree) the 1-D building-block integrals from which
+// every DG tensor is assembled, and project initial conditions. The runtime
+// update path of the modal solver performs no phase-space quadrature (see
+// tensors/); its one runtime use is the 1-D factor tables of the BGK
+// Maxwellian (collisions/bgk.hpp).
 
 #include <cstddef>
 #include <vector>

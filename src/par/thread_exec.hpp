@@ -2,7 +2,7 @@
 // ThreadExec: the intra-rank (second) level of the paper's two-level
 // parallel scheme — a persistent worker-thread pool with a blocking
 // parallelFor over an index range. The per-cell RHS loops of the DG
-// updaters (Vlasov volume/surface terms, BGK Maxwellian projection) route
+// updaters (Vlasov volume/surface terms, BGK relaxation) route
 // through it so the update is parallel by default. Chunks are contiguous
 // and cells are written by exactly one chunk, so the threaded result is
 // bit-for-bit identical to serial execution.

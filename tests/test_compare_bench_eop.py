@@ -6,8 +6,9 @@ used to be indistinguishable from a genuine throughput regression. These
 tests pin the documented contract:
 
   0 -- within tolerance
-  1 -- regression (throughput floor, batched-slower-than-scalar, or
-       profiler-enabled overhead beyond --max-overhead)
+  1 -- regression (throughput floor, batched-slower-than-scalar,
+       profiler-enabled overhead beyond --max-overhead, or a BGK cost
+       multiplier beyond 2x)
   2 -- missing/unreadable input file
   3 -- valid JSON but missing schema key
 
@@ -26,11 +27,11 @@ import unittest
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "tools" / "compare_bench_eop.py"
 
 
-def bench_doc(batched, scalar, profiled=None):
+def bench_doc(batched, scalar, profiled=None, bgk=1.0):
     eop = {"vlasov": batched, "vlasov_scalar": scalar}
     if profiled is not None:
         eop["vlasov_profiled"] = profiled
-    return {"eop": eop}
+    return {"eop": eop, "cost_multiplier": {"bgk": bgk}}
 
 
 class CompareBenchEopExitCodes(unittest.TestCase):
@@ -98,6 +99,21 @@ class CompareBenchEopExitCodes(unittest.TestCase):
         proc = self.run_guard(cur, base)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertNotIn("profiler-enabled", proc.stdout)
+
+    def test_bgk_multiplier_within_gate_exits_0(self):
+        cur = self.write("cur.json", bench_doc(2.0e9, 1.0e9, bgk=1.4))
+        base = self.write("base.json", bench_doc(2.0e9, 1.0e9))
+        proc = self.run_guard(cur, base)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("BGK cost multiplier 1.40x", proc.stdout)
+
+    def test_bgk_multiplier_beyond_gate_exits_1(self):
+        # 4.2x: the quadrature-projection BGK, over the 2x gate.
+        cur = self.write("cur.json", bench_doc(2.0e9, 1.0e9, bgk=4.2))
+        base = self.write("base.json", bench_doc(2.0e9, 1.0e9))
+        proc = self.run_guard(cur, base)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("BGK cost multiplier too high", proc.stderr)
 
     def test_missing_file_exits_2_with_one_line_message(self):
         base = self.write("base.json", bench_doc(2.0e9, 1.0e9))

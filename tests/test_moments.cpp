@@ -194,5 +194,48 @@ TEST(Moments, UniformDensityHasFlatModes) {
   });
 }
 
+TEST(Moments, ConfMode0IsBitwiseComputeMode0) {
+  // The one-cell mode-0 reduction the BGK pass uses must reproduce the
+  // full-field moments exactly, not just to rounding.
+  const struct {
+    BasisSpec spec;
+    Grid conf, vel;
+  } cases[] = {
+      {{1, 2, 2, BasisFamily::Serendipity},
+       Grid::make({3}, {0.0}, {1.0}),
+       Grid::make({5, 4}, {-3.0, -2.5}, {3.0, 4.0})},
+      {{2, 3, 2, BasisFamily::Serendipity},
+       Grid::make({2, 3}, {0.0, 0.0}, {1.0, 2.0}),
+       Grid::make({3, 4, 2}, {-3.0, -2.0, -1.0}, {3.0, 3.0, 2.0})},
+  };
+  for (const auto& tc : cases) {
+    const Grid pg = Grid::phase(tc.conf, tc.vel);
+    const Basis& b = basisFor(tc.spec);
+    Field f(pg, b.numModes());
+    projectOnBasis(
+        b, pg,
+        [&](const double* z) {
+          double r2 = 0.0;
+          for (int j = 0; j < tc.spec.vdim; ++j) {
+            const double dv = z[tc.spec.cdim + j] - 0.3;
+            r2 += dv * dv;
+          }
+          return (1.0 + 0.4 * std::sin(5.0 * z[0])) * std::exp(-0.5 * r2);
+        },
+        f);
+    const MomentUpdater mom(tc.spec, pg);
+    const int npc = mom.numConfModes();
+    Field m0(mom.confGrid(), npc), m1(mom.confGrid(), 3 * npc), m2(mom.confGrid(), npc);
+    mom.compute(f, &m0, &m1, &m2);
+    forEachCell(mom.confGrid(), [&](const MultiIndex& idx) {
+      double c0, c1[3], c2;
+      mom.confMode0(f, idx, c0, c1, c2);
+      EXPECT_EQ(c0, m0.at(idx)[0]);
+      for (int j = 0; j < tc.spec.vdim; ++j) EXPECT_EQ(c1[j], m1.at(idx)[j * npc]);
+      EXPECT_EQ(c2, m2.at(idx)[0]);
+    });
+  }
+}
+
 }  // namespace
 }  // namespace vdg

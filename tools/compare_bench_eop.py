@@ -12,14 +12,17 @@ when either
   * the profiler-enabled Vlasov Eop (eop.vlasov_profiled, present in
     current files once bench_eop grew the instrumented column) fell more
     than --max-overhead (default 2%) below the uninstrumented Eop of the
-    same run — enabled instrumentation must stay in the noise.
+    same run — enabled instrumentation must stay in the noise, or
+  * the BGK cost multiplier (cost_multiplier.bgk: Vlasov+BGK time over
+    Vlasov time in the same run) exceeds MAX_BGK_MULTIPLIER = 2.0, the
+    paper's "collisions roughly double the cost".
 
 Absolute Eop numbers are hardware-dependent, so CI runners should
 refresh the baseline when the fleet changes; the scalar-vs-batched
 ordering check is hardware-independent.
 
 Usage: tools/compare_bench_eop.py CURRENT.json [--baseline PATH]
-       [--tolerance 0.15]
+       [--tolerance 0.15] [--max-overhead 0.02]
 
 Exit codes: 0 ok, 1 regression, 2 missing/unreadable input file,
 3 malformed JSON schema (missing key).
@@ -35,6 +38,7 @@ import sys
 DEFAULT_BASELINE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "baselines" / (
     "BENCH_eop.baseline.json"
 )
+MAX_BGK_MULTIPLIER = 2.0
 
 
 def main() -> int:
@@ -94,6 +98,7 @@ def main() -> int:
 
     cur_batched = pick(cur, args.current, "eop", "vlasov")
     cur_scalar = pick(cur, args.current, "eop", "vlasov_scalar")
+    cur_bgk = pick(cur, args.current, "cost_multiplier", "bgk")
     base_batched = pick(base, args.baseline, "eop", "vlasov")
 
     failures = []
@@ -125,11 +130,18 @@ def main() -> int:
                 f"{args.max_overhead:.0%})"
             )
 
+    if cur_bgk > MAX_BGK_MULTIPLIER:
+        failures.append(
+            f"BGK cost multiplier too high: {cur_bgk:.2f}x > "
+            f"{MAX_BGK_MULTIPLIER:.2f}x the collisionless step"
+        )
+
     speedup = cur_batched / cur_scalar if cur_scalar else float("nan")
     print(f"eop: batched {cur_batched:.3e}  scalar {cur_scalar:.3e}  speedup {speedup:.2f}x")
     if cur_profiled is not None:
         print(f"profiler-enabled {cur_profiled:.3e}  (allowed floor "
               f"{cur_batched * (1.0 - args.max_overhead):.3e})")
+    print(f"BGK cost multiplier {cur_bgk:.2f}x  (allowed {MAX_BGK_MULTIPLIER:.2f}x)")
     print(f"baseline batched {base_batched:.3e}  (floor {floor:.3e})")
 
     if failures:

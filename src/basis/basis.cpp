@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 #include <stdexcept>
 
 #include "math/legendre.hpp"
@@ -133,7 +134,12 @@ const Basis& basisFor(const BasisSpec& spec) {
              static_cast<std::size_t>(s.family);
     }
   };
+  // Ensemble members build their Simulations on pool threads concurrently,
+  // so the lookup is locked. References stay valid after the lock drops:
+  // the map is node-based, and Basis(spec) never re-enters basisFor.
+  static std::mutex m;
   static std::unordered_map<BasisSpec, Basis, SpecHash> cache;
+  const std::scoped_lock lock(m);
   auto it = cache.find(spec);
   if (it == cache.end()) it = cache.emplace(spec, Basis(spec)).first;
   return it->second;

@@ -9,15 +9,15 @@
 // PrimitiveMoments). The discretization stays alias-free / matrix-free /
 // quadrature-free:
 //
-//  - The drag term is the Vlasov acceleration machinery with the velocity-
-//    space "acceleration" alpha_j = u_j - v_j: exact sparse volume tapes
-//    plus penalty-flux surface lifts at interior velocity faces.
+//  - The drag term is the Vlasov acceleration operator with the velocity-
+//    space "acceleration" alpha_j = u_j - v_j: exact volume integrals plus
+//    penalty-flux surface lifts at interior velocity faces.
 //  - The diffusion term uses the recovery-based DG treatment: across every
 //    interior velocity face the two neighboring 1-D slices are merged into
 //    the unique degree-(2p+1) recovery polynomial reproducing both cells'
 //    moments, whose interface value and derivative feed the twice-
 //    integrated-by-parts weak form (value + flux surface terms plus the
-//    second-derivative volume tape of tensors/dg_tensors.hpp).
+//    second-derivative volume tensor of tensors/dg_tensors.hpp).
 //  - Velocity-domain boundaries are zero-flux: drag and diffusion fluxes
 //    are dropped there, so the density M0 is conserved by construction
 //    (surface fluxes telescope over interior faces).
@@ -28,11 +28,29 @@
 //    errors of the raw discrete operator are O(h^{p+1}); the correction
 //    removes them entirely).
 //
+// Kernel dispatch. For specs with generated kernels (kernels/registry.hpp)
+// the drag runs through the compiled Vlasov acceleration kernels (accelVol,
+// accelSurf[j]; their sup-bound penalty is the drag's) and the diffusion
+// through the generated LBO kernels (volume, interior-face recovery,
+// zero-flux boundary), which take the configuration cell's vth^2
+// coefficients directly. With a batched kernel set the velocity cells,
+// interior faces and boundary cells of one configuration cell are gathered
+// into AoSoA blocks of B; batched and scalar results are bitwise equal.
+// Specs without generated kernels — and tests, through
+// disableCompiledKernels() — interpret the same terms from sparse tapes.
+//
+// advance() is one pass per configuration cell: M0/M1/M2 of its velocity
+// block, the weak division, the increment (volume, interior faces,
+// boundaries), the conservation solve on the stack, and rhs += nu * inc.
+// The weight-field moments of the correction are read through sparse rows
+// built in the constructor. Scratch is per thread and retained, so advance()
+// makes no heap allocation after a thread's first call.
+//
 // Per-cell loops are chunked over configuration cells through ThreadExec
 // (velocity faces never straddle configuration cells, so one chunk owns
 // every term of its cells) and are bit-for-bit serial-identical, like BGK.
 
-#include <algorithm>
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -95,62 +113,68 @@ class LboUpdater {
     prim_->setExecutor(exec);
   }
 
-  /// SIMD batch width for the per-velocity-cell volume loops (drag +
-  /// diffusion), executed through the batched tape executors of
-  /// dg/batch.hpp: 0 = auto (largest kKernelBatchLanes entry, the
-  /// default), 1 = scalar cell loop. Bitwise identical either way — the
-  /// knob exists for A/B benchmarking and bisection.
-  void setBatchLanes(int lanes) { batchLanes_ = lanes; }
+  /// True when apply() dispatches to compiled kernels (specs registered
+  /// with the acceleration and LBO diffusion kernels) instead of tapes.
+  [[nodiscard]] bool usesCompiledKernels() const { return compiled_ != nullptr; }
 
-  /// The lane count apply() actually blocks the volume loops with.
-  [[nodiscard]] int activeBatchLanes() const {
-    if (batchLanes_ == 1) return 1;
-    if (batchLanes_ != 0) return batchLanes_;
-    int best = 1;
-    for (int b : kKernelBatchLanes) best = std::max(best, b);
-    return best;
+  /// Force tape interpretation even when compiled kernels are registered
+  /// (the test oracle). Also disables the batched path.
+  void disableCompiledKernels() {
+    compiled_ = nullptr;
+    batched_ = nullptr;
+    batchLanes_ = 1;
   }
 
+  /// SIMD batch width request: 0 = auto (largest registered batched lane
+  /// count, the default), 1 = scalar cell loop, or a kKernelBatchLanes
+  /// entry; requests the registry cannot serve fall back to scalar.
+  /// Bitwise identical either way — the knob exists for A/B benchmarking
+  /// and bisection.
+  void setBatchLanes(int lanes);
+
+  /// The lane count apply() actually blocks its loops with (1 = scalar).
+  [[nodiscard]] int activeBatchLanes() const { return batched_ ? batched_->lanes : 1; }
+
  private:
-  double apply(const Field& f, const Field& u, const Field& vtSq, Field& rhs, bool drag,
+  /// One pass per configuration cell. Null `u` / `vtSq` are computed in
+  /// the pass from f's moments; otherwise read from the given fields.
+  double apply(const Field& f, const Field* u, const Field* vtSq, Field& rhs, bool drag,
                bool diff, bool correct, double scale) const;
 
   const VlasovKernelSet* ks_;
+  const VlasovCompiledKernels* compiled_ = nullptr;  ///< nullptr: tape path
+  const VlasovBatchedKernels* batched_ = nullptr;    ///< nullptr: scalar cell loops
   ThreadExec* exec_ = nullptr;
   Grid grid_;
   LboParams params_;
   int cdim_, vdim_, np_, npc_, polyOrder_;
+  std::array<double, kMaxDim> dxv_{};
   std::unique_ptr<MomentUpdater> mom_;
   std::unique_ptr<PrimitiveMoments> prim_;
 
-  std::vector<Tape3> diffVol_;   ///< per vel dim: int d2w_l/deta^2 w_m w_n
-  std::vector<Tape2> eta2Mul_;   ///< per vel dim: projection of eta^2 g
-
+  // --- tape path (specs without generated kernels, and the test oracle)
+  std::vector<Tape3> diffVol_;  ///< per vel dim: int d2w_l/deta^2 w_m w_n
   /// psi'_{a_d}(-1) / psi'_{a_d}(+1) per volume mode, per velocity dim —
   /// the derivative lifts of the recovery value surface term.
   std::vector<std::vector<double>> derivMinus_, derivPlus_;
-
   /// Volume mode of 1-D slice degree m on face mode k (index k*(p+1)+m),
   /// -1 where the family drops the mode; per velocity dim.
   std::vector<std::vector<int>> sliceMode_;
-
   /// Recovery functionals: interface value r(0) and derivative r'(0) (in
   /// the two-cell coordinate) as linear maps of the left/right 1-D slice
   /// coefficients g_m, m = 0..p (tensors/dg_tensors.hpp, shared with the
   /// Poisson solver).
   RecoveryWeights rec_;
 
-  /// Scalar (conf-mode-0) moment tape weights over one velocity cell, for
-  /// the conservation correction: weight 1, eta_j, eta_j^2.
-  struct ScalarTape {
-    struct Term {
-      int l;
-      double c;
-    };
-    std::vector<Term> terms;
-  };
-  ScalarTape sm0_;
-  std::vector<ScalarTape> sm1_, sm2_;
+  // --- conservation correction
+  std::vector<Tape2> eta2Mul_;  ///< per vel dim: projection of eta^2 g
+  /// Sparse rows of the scalar (conf-mode-0) velocity-cell integrals
+  /// s0 = int g, s1_j = int eta_j g, s2_j = int eta_j^2 g (row index
+  /// 0, 1+j, 1+vdim+j) applied to the weight fields g = f, P(eta_j f),
+  /// P(eta_j^2 f) (input 0, 1+j, 1+vdim+j): row input*(1+2 vdim) + s reads
+  /// f's coefficients at rowIdx_/rowCoef_[rowStart_[row] .. rowStart_[row+1]).
+  std::vector<int> rowStart_, rowIdx_;
+  std::vector<double> rowCoef_;
 
   std::vector<double> confSup_;  ///< sup |w_k| per conf mode (CFL bound)
   double jacV_ = 1.0;            ///< velocity-cell Jacobian prod dv_j/2

@@ -31,31 +31,6 @@ void scatterAddImpl(int n, const double* __restrict src, double* const* __restri
   }
 }
 
-template <int B>
-void tape3Impl(const Tape3& tape, const double* __restrict a, const double* __restrict f,
-               double* __restrict out, double scale) {
-  for (const Tape3::Term& t : tape.terms) {
-    const double c = scale * t.c;  // == scalar's (scale * c); lane-invariant
-    const double* __restrict ab = a + static_cast<std::size_t>(t.m) * B;
-    const double* __restrict fb = f + static_cast<std::size_t>(t.n) * B;
-    double* __restrict ob = out + static_cast<std::size_t>(t.l) * B;
-    for (int b = 0; b < B; ++b) ob[b] += c * ab[b] * fb[b];
-  }
-}
-
-template <int B>
-void tape3SharedAImpl(const Tape3& tape, const double* __restrict a,
-                      const double* __restrict f, double* __restrict out, double scale) {
-  for (const Tape3::Term& t : tape.terms) {
-    // Lane-invariant coefficient, associated exactly as the scalar
-    // executor's ((scale * c) * a[m]) * f[n].
-    const double ca = scale * t.c * a[static_cast<std::size_t>(t.m)];
-    const double* __restrict fb = f + static_cast<std::size_t>(t.n) * B;
-    double* __restrict ob = out + static_cast<std::size_t>(t.l) * B;
-    for (int b = 0; b < B; ++b) ob[b] += ca * fb[b];
-  }
-}
-
 /// Levi-Civita symbol on {0,1,2} (mirrors the helper in
 /// tensors/vlasov_tensors.cpp — the two must agree for bitwise identity
 /// of buildAccelBatched vs buildAccel).
@@ -96,17 +71,6 @@ void buildAccelImpl(const VlasovKernelSet& ks, const Grid& grid, double qbym,
   }
 }
 
-template <int B>
-void tape2Impl(const Tape2& tape, const double* __restrict in, double* __restrict out,
-               double scale) {
-  for (const Tape2::Term& t : tape.terms) {
-    const double c = scale * t.c;
-    const double* __restrict ib = in + static_cast<std::size_t>(t.n) * B;
-    double* __restrict ob = out + static_cast<std::size_t>(t.l) * B;
-    for (int b = 0; b < B; ++b) ob[b] += c * ib[b];
-  }
-}
-
 }  // namespace
 
 void packLanes(int B, int n, const double* const* src, double* dst) {
@@ -144,33 +108,6 @@ void scatterAddLanes(int B, int n, const double* src, double* const* dst) {
   }
 }
 
-void executeBatched(const Tape3& tape, int B, const double* a, const double* f, double* out,
-                    double scale) {
-  switch (B) {
-    case 4: tape3Impl<4>(tape, a, f, out, scale); return;
-    case 8: tape3Impl<8>(tape, a, f, out, scale); return;
-    default:
-      for (const Tape3::Term& t : tape.terms) {
-        const double c = scale * t.c;
-        for (int b = 0; b < B; ++b)
-          out[t.l * B + b] += c * a[t.m * B + b] * f[t.n * B + b];
-      }
-  }
-}
-
-void executeBatchedSharedA(const Tape3& tape, int B, const double* a, const double* f,
-                           double* out, double scale) {
-  switch (B) {
-    case 4: tape3SharedAImpl<4>(tape, a, f, out, scale); return;
-    case 8: tape3SharedAImpl<8>(tape, a, f, out, scale); return;
-    default:
-      for (const Tape3::Term& t : tape.terms) {
-        const double ca = scale * t.c * a[static_cast<std::size_t>(t.m)];
-        for (int b = 0; b < B; ++b) out[t.l * B + b] += ca * f[t.n * B + b];
-      }
-  }
-}
-
 void buildAccelBatched(const VlasovKernelSet& ks, const Grid& grid, double qbym,
                        const MultiIndex* laneIdx, int B, const AccelWorkspace& ws,
                        double* alphaBlk) {
@@ -184,18 +121,6 @@ void buildAccelBatched(const VlasovKernelSet& ks, const Grid& grid, double qbym,
         buildAccel(ks, grid, qbym, laneIdx[b], ws, alpha);
         for (std::size_t i = 0; i < alpha.size(); ++i)
           alphaBlk[i * static_cast<std::size_t>(B) + static_cast<std::size_t>(b)] = alpha[i];
-      }
-  }
-}
-
-void executeBatched(const Tape2& tape, int B, const double* in, double* out, double scale) {
-  switch (B) {
-    case 4: tape2Impl<4>(tape, in, out, scale); return;
-    case 8: tape2Impl<8>(tape, in, out, scale); return;
-    default:
-      for (const Tape2::Term& t : tape.terms) {
-        const double c = scale * t.c;
-        for (int b = 0; b < B; ++b) out[t.l * B + b] += c * in[t.n * B + b];
       }
   }
 }

@@ -2,7 +2,7 @@
 // AoSoA cell-blocking layer for SIMD-batched kernel execution.
 //
 // The generated batched kernels (src/kernels/gen/*_batch.cpp) and the
-// batched tape executors below operate on blocks of B cells in AoSoA
+// batched acceleration builder below operate on blocks of B cells in AoSoA
 // layout: mode-major, lane-minor, element i of cell (lane) b at
 // [i*B + b]. Updaters gather B cells' coefficient vectors into an aligned
 // scratch block with packLanes, run the batched kernel over the block,
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "grid/grid.hpp"
-#include "tensors/tape.hpp"
 #include "tensors/vlasov_tensors.hpp"
 
 namespace vdg {
@@ -69,21 +68,6 @@ void scatterLanes(int B, int n, const double* src, double* const* dst);
 /// are written in ascending order; each dst cell receives one add per
 /// element, so per-cell accumulation order is preserved.
 void scatterAddLanes(int B, int n, const double* src, double* const* dst);
-
-/// Batched Tape3 execution, a per-lane (AoSoA, like f/out):
-///   out[l*B+b] += scale * c * a[m*B+b] * f[n*B+b]  per term, in term order.
-void executeBatched(const Tape3& tape, int B, const double* a, const double* f, double* out,
-                    double scale);
-
-/// Batched Tape3 execution with a lane-invariant `a` in plain scalar
-/// layout (e.g. the LBO diffusion coefficient, shared by every velocity
-/// cell of a configuration cell):
-///   out[l*B+b] += (scale * c * a[m]) * f[n*B+b]  per term, in term order.
-void executeBatchedSharedA(const Tape3& tape, int B, const double* a, const double* f,
-                           double* out, double scale);
-
-/// Batched Tape2 execution: out[l*B+b] += scale * c * in[n*B+b].
-void executeBatched(const Tape2& tape, int B, const double* in, double* out, double scale);
 
 /// Batched buildAccel (tensors/vlasov_tensors.hpp): assemble
 /// alpha_j = (q/m)(E + v x B)_j for the B phase cells laneIdx[0..B)

@@ -1,5 +1,6 @@
 #include "dg/moments.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -128,8 +129,9 @@ void MomentUpdater::compute(const Field& f, Field* m0, Field* m1, Field* m2) con
   });
 }
 
-void MomentUpdater::confMode0(const Field& f, const MultiIndex& confIdx, double& m0, double* m1,
-                              double& m2) const {
+void MomentUpdater::accumulateConfCell(const TapeSet& tapes, const Field& f,
+                                       const MultiIndex& confIdx, double* m0, double* m1,
+                                       int m1Stride, double* m2) const {
   assert(f.ncomp() == np_);
   double jacV = 1.0;
   int velHi[kMaxDim];
@@ -137,17 +139,29 @@ void MomentUpdater::confMode0(const Field& f, const MultiIndex& confIdx, double&
     jacV *= 0.5 * grid_.dx(cdim_ + j);
     velHi[j] = grid_.cells[static_cast<std::size_t>(cdim_ + j)];
   }
-  m0 = 0.0;
-  m2 = 0.0;
-  for (int j = 0; j < vdim_; ++j) m1[j] = 0.0;
-
-  // compute()'s velocity-cell order and accumulation body on the mode-0
-  // tapes: each accumulator sees the same addends in the same order.
+  // compute()'s velocity-cell order and accumulation body: each
+  // accumulator sees the same addends in the same order.
   forEachIndexInRange(vdim_, velHi, 0, boxSize(vdim_, velHi), [&](const MultiIndex& vi) {
     MultiIndex idx = confIdx;
     for (int j = 0; j < vdim_; ++j) idx[cdim_ + j] = vi[j];
-    accumulateCell(mode0_, idx, f.at(idx), jacV, &m0, m1, 1, &m2);
+    accumulateCell(tapes, idx, f.at(idx), jacV, m0, m1, m1Stride, m2);
   });
+}
+
+void MomentUpdater::confMode0(const Field& f, const MultiIndex& confIdx, double& m0, double* m1,
+                              double& m2) const {
+  m0 = 0.0;
+  m2 = 0.0;
+  for (int j = 0; j < vdim_; ++j) m1[j] = 0.0;
+  accumulateConfCell(mode0_, f, confIdx, &m0, m1, 1, &m2);
+}
+
+void MomentUpdater::confMoments(const Field& f, const MultiIndex& confIdx, double* m0, double* m1,
+                                double* m2) const {
+  std::fill(m0, m0 + npc_, 0.0);
+  std::fill(m1, m1 + vdim_ * npc_, 0.0);
+  std::fill(m2, m2 + npc_, 0.0);
+  accumulateConfCell(all_, f, confIdx, m0, m1, npc_, m2);
 }
 
 void MomentUpdater::accumulateCurrent(const Field& f, double charge, Field& current) const {
@@ -175,80 +189,97 @@ void MomentUpdater::accumulateCurrent(const Field& f, double charge, Field& curr
 
 PrimitiveMoments::PrimitiveMoments(const BasisSpec& confSpec, int vdim)
     : conf_(&basisFor(confSpec)), exec_(&ThreadExec::global()), vdim_(vdim),
-      npc_(conf_->numModes()), gaunt_(buildProductTape(*conf_)) {
+      npc_(conf_->numModes()), avgFac_(std::pow(2.0, -0.5 * conf_->ndim())),
+      gaunt_(buildProductTape(*conf_)) {
   if (confSpec.vdim != 0)
     throw std::invalid_argument("PrimitiveMoments: confSpec must have vdim == 0");
   if (vdim < 1 || vdim > 3)
     throw std::invalid_argument("PrimitiveMoments: vdim must be in [1, 3]");
 }
 
+namespace {
+
+/// Per-thread weak-division workspace, kept across calls so divideCell is
+/// allocation-free after a thread's first cell of a given size.
+struct DivisionScratch {
+  DenseMatrix a;
+  LuSolver lu;
+  std::vector<double> rhs;
+};
+
+DivisionScratch& divisionScratch(int n) {
+  static thread_local DivisionScratch s;
+  if (s.a.rows() != n) {
+    s.a = DenseMatrix(n, n);
+    s.rhs.assign(static_cast<std::size_t>(n), 0.0);
+  }
+  return s;
+}
+
+}  // namespace
+
 void PrimitiveMoments::compute(const Field& m0, const Field& m1, const Field& m2, Field& u,
                                Field& vtSq) const {
   assert(m0.ncomp() == npc_ && m1.ncomp() == 3 * npc_ && m2.ncomp() == npc_);
   assert(u.ncomp() == vdim_ * npc_ && vtSq.ncomp() == npc_);
-  const int cdim = conf_->ndim();
-  const double avgFac = std::pow(2.0, -0.5 * cdim);
-  const auto np = static_cast<std::size_t>(npc_);
-  const Grid& grid = m0.grid();
-
   // Parallel over configuration cells (disjoint writes, deterministic LU
-  // pivoting: bitwise serial-identical); scratch hoisted per chunk.
-  chunkedFor(exec_, grid.numCells(), [&](std::size_t begin, std::size_t end) {
-    DenseMatrix a(npc_, npc_);
-    LuSolver lu;
-    std::vector<double> rhs(np);
-    forEachIndexInRange(grid.ndim, grid.cells.data(), begin, end, [&](const MultiIndex& idx) {
-      const double* n = m0.at(idx);
-      const double* mom = m1.at(idx);
-      const double* en = m2.at(idx);
-      double* uc = u.at(idx);
-      double* vc = vtSq.at(idx);
-
-      const double nAvg = n[0] * avgFac;
-      const auto setVacuum = [&] {
-        for (int c = 0; c < vdim_ * npc_; ++c) uc[c] = 0.0;
-        for (int k = 0; k < npc_; ++k) vc[k] = 0.0;
-        vc[0] = 1.0 / avgFac;  // constant vth^2 = 1, the BGK vacuum convention
-      };
-      if (!(nAvg > kDensityFloor)) {
-        setVacuum();
-        return;
-      }
-
-      // Weak-division matrix A_kl = int w_k w_l M0 (Gaunt contraction of
-      // the density expansion), LU-factored once and reused for every
-      // division of this cell.
-      a.setZero();
-      for (const Tape3::Term& t : gaunt_.terms) a(t.l, t.n) += t.c * n[t.m];
-      lu.factorFrom(a);
-      if (lu.singular()) {
-        setVacuum();
-        return;
-      }
-
-      for (int j = 0; j < vdim_; ++j) {
-        for (int k = 0; k < npc_; ++k) rhs[static_cast<std::size_t>(k)] = mom[j * npc_ + k];
-        lu.solve(rhs);
-        for (int k = 0; k < npc_; ++k) uc[j * npc_ + k] = rhs[static_cast<std::size_t>(k)];
-      }
-
-      // b_k = int w_k (M2 - u . M1); the product is projected exactly
-      // through the Gaunt tensor, then vdim * vth^2 = b / M0 weakly.
-      for (int k = 0; k < npc_; ++k) rhs[static_cast<std::size_t>(k)] = en[k];
-      for (int j = 0; j < vdim_; ++j)
-        for (const Tape3::Term& t : gaunt_.terms)
-          rhs[static_cast<std::size_t>(t.l)] -= t.c * uc[j * npc_ + t.m] * mom[j * npc_ + t.n];
-      lu.solve(rhs);
-      const double vdimInv = 1.0 / vdim_;
-      for (int k = 0; k < npc_; ++k) vc[k] = rhs[static_cast<std::size_t>(k)] * vdimInv;
-
-      const double vtAvg = vc[0] * avgFac;
-      if (!(vtAvg >= kVtSqFloor)) {
-        for (int k = 1; k < npc_; ++k) vc[k] = 0.0;
-        vc[0] = kVtSqFloor / avgFac;
-      }
-    });
+  // pivoting: bitwise serial-identical).
+  parallelForEachCell(exec_, m0.grid(), [&](const MultiIndex& idx) {
+    divideCell(m0.at(idx), m1.at(idx), m2.at(idx), u.at(idx), vtSq.at(idx));
   });
+}
+
+void PrimitiveMoments::divideCell(const double* n, const double* mom, const double* en,
+                                  double* uc, double* vc) const {
+  const double avgFac = avgFac_;
+  DivisionScratch& s = divisionScratch(npc_);
+  DenseMatrix& a = s.a;
+  LuSolver& lu = s.lu;
+  std::vector<double>& rhs = s.rhs;
+
+  const double nAvg = n[0] * avgFac;
+  const auto setVacuum = [&] {
+    for (int c = 0; c < vdim_ * npc_; ++c) uc[c] = 0.0;
+    for (int k = 0; k < npc_; ++k) vc[k] = 0.0;
+    vc[0] = 1.0 / avgFac;  // constant vth^2 = 1, the BGK vacuum convention
+  };
+  if (!(nAvg > kDensityFloor)) {
+    setVacuum();
+    return;
+  }
+
+  // Weak-division matrix A_kl = int w_k w_l M0 (Gaunt contraction of the
+  // density expansion), LU-factored once and reused for every division of
+  // this cell.
+  a.setZero();
+  for (const Tape3::Term& t : gaunt_.terms) a(t.l, t.n) += t.c * n[t.m];
+  lu.factorFrom(a);
+  if (lu.singular()) {
+    setVacuum();
+    return;
+  }
+
+  for (int j = 0; j < vdim_; ++j) {
+    for (int k = 0; k < npc_; ++k) rhs[static_cast<std::size_t>(k)] = mom[j * npc_ + k];
+    lu.solve(rhs);
+    for (int k = 0; k < npc_; ++k) uc[j * npc_ + k] = rhs[static_cast<std::size_t>(k)];
+  }
+
+  // b_k = int w_k (M2 - u . M1); the product is projected exactly through
+  // the Gaunt tensor, then vdim * vth^2 = b / M0 weakly.
+  for (int k = 0; k < npc_; ++k) rhs[static_cast<std::size_t>(k)] = en[k];
+  for (int j = 0; j < vdim_; ++j)
+    for (const Tape3::Term& t : gaunt_.terms)
+      rhs[static_cast<std::size_t>(t.l)] -= t.c * uc[j * npc_ + t.m] * mom[j * npc_ + t.n];
+  lu.solve(rhs);
+  const double vdimInv = 1.0 / vdim_;
+  for (int k = 0; k < npc_; ++k) vc[k] = rhs[static_cast<std::size_t>(k)] * vdimInv;
+
+  const double vtAvg = vc[0] * avgFac;
+  if (!(vtAvg >= kVtSqFloor)) {
+    for (int k = 1; k < npc_; ++k) vc[k] = 0.0;
+    vc[0] = kVtSqFloor / avgFac;
+  }
 }
 
 }  // namespace vdg

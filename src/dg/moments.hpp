@@ -38,6 +38,13 @@ class MomentUpdater {
   void confMode0(const Field& f, const MultiIndex& confIdx, double& m0, double* m1,
                  double& m2) const;
 
+  /// Every configuration mode of M0 (numConfModes values), M1 (vdim
+  /// components, numConfModes apart) and M2 at one configuration cell,
+  /// from that cell's velocity block alone: bitwise equal to compute()'s
+  /// coefficients there, without the three Fields.
+  void confMoments(const Field& f, const MultiIndex& confIdx, double* m0, double* m1,
+                   double* m2) const;
+
   /// current += charge * M1(f): the species' contribution to the plasma
   /// current in Ampere's law (3*numConfModes components).
   void accumulateCurrent(const Field& f, double charge, Field& current) const;
@@ -64,6 +71,10 @@ class MomentUpdater {
   /// m1's vdim components lie m1Stride apart.
   void accumulateCell(const TapeSet& tapes, const MultiIndex& idx, const double* fc, double jacV,
                       double* m0, double* m1, int m1Stride, double* m2) const;
+  /// accumulateCell over the velocity block of one configuration cell, in
+  /// compute()'s velocity-cell order.
+  void accumulateConfCell(const TapeSet& tapes, const Field& f, const MultiIndex& confIdx,
+                          double* m0, double* m1, int m1Stride, double* m2) const;
 
   const Basis* phase_;
   const Basis* conf_;
@@ -101,6 +112,13 @@ class PrimitiveMoments {
   /// ignored); m2: npc. Outputs: u has vdim*npc comps, vtSq has npc.
   void compute(const Field& m0, const Field& m1, const Field& m2, Field& u, Field& vtSq) const;
 
+  /// compute()'s weak division at one configuration cell: n, en are its M0,
+  /// M2 coefficients and mom its M1 (vdim components, numConfModes apart);
+  /// writes u (vdim * numConfModes) and vtSq (numConfModes). Allocation-
+  /// free once the calling thread has divided a cell of this size.
+  void divideCell(const double* n, const double* mom, const double* en, double* uc,
+                  double* vc) const;
+
   /// Pool driving the per-cell weak divisions (defaults to
   /// ThreadExec::global(); nullptr forces serial execution). Cells are
   /// independent and the LU pivoting is deterministic, so threading is
@@ -111,7 +129,8 @@ class PrimitiveMoments {
   const Basis* conf_;
   ThreadExec* exec_ = nullptr;
   int vdim_, npc_;
-  Tape3 gaunt_;  ///< conf-basis Gaunt tensor int w_k w_m w_n
+  double avgFac_;  ///< cell average per unit mode-0 coefficient, 2^{-cdim/2}
+  Tape3 gaunt_;    ///< conf-basis Gaunt tensor int w_k w_m w_n
 };
 
 }  // namespace vdg

@@ -1,6 +1,7 @@
 // ============================================================================
 // AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.
-// SIMD-batched (AoSoA) modal DG Vlasov kernels for the 1x1v_p1_ten basis:
+// SIMD-batched (AoSoA) modal DG Vlasov and LBO-diffusion kernels for the
+// 1x1v_p1_ten basis:
 // the scalar kernels of vlasov_1x1v_p1_ten.cpp with the cell index turned
 // into an inner lane loop over a block of B cells (mode-major, lane-minor
 // layout, element i of lane b at [i*B+b]) so the compiler autovectorizes
@@ -105,9 +106,93 @@ void vlasov_1x1v_p1_ten_accel_surf0_bat(const double* __restrict dxv, const doub
   }
 }
 
+// LBO diffusion volume kernel: exact DG volume integral of the twice
+// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,
+// with D = vtSq the configuration-space vth^2 expansion (2 coefficients).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p1_ten_lbo_diff_vol_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  (void)dxv; (void)vtSq; (void)f; (void)out;
+}
+
+// LBO diffusion surface kernel, velocity direction 0: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p1_ten_lbo_diff_surf0_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  for (int b = 0; b < B; ++b) {
+    const double rv0 = 0.35355339059327373*fl[0*B+b] + 0.35355339059327356*fr[0*B+b] + 0.40824829046386302*fl[2*B+b] - 0.40824829046386268*fr[2*B+b];
+    const double rd0 = -1.5909902576697319*fl[0*B+b] + 1.5909902576697319*fr[0*B+b] - 1.5309310892394858*fl[2*B+b] - 1.5309310892394858*fr[2*B+b];
+    const double rv1 = 0.35355339059327373*fl[1*B+b] + 0.35355339059327356*fr[1*B+b] + 0.40824829046386302*fl[3*B+b] - 0.40824829046386268*fr[3*B+b];
+    const double rd1 = -1.5909902576697319*fl[1*B+b] + 1.5909902576697319*fr[1*B+b] - 1.5309310892394858*fl[3*B+b] - 1.5309310892394858*fr[3*B+b];
+    const double pD0 = 0.70710678118654779*dF0*rd0 + 0.70710678118654757*dF1*rd1;
+    const double pD1 = 0.70710678118654757*dF0*rd1 + 0.70710678118654757*dF1*rd0;
+    const double pV0 = 0.70710678118654779*dF0*rv0 + 0.70710678118654757*dF1*rv1;
+    const double pV1 = 0.70710678118654757*dF0*rv1 + 0.70710678118654757*dF1*rv0;
+    outl[0*B+b] += s2*(0.35355339059327379*pD0);
+    outr[0*B+b] += s2*(-0.35355339059327379*pD0);
+    outl[1*B+b] += s2*(0.35355339059327379*pD1);
+    outr[1*B+b] += s2*(-0.35355339059327379*pD1);
+    outl[2*B+b] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+    outr[2*B+b] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+    outl[3*B+b] += s2*(0.61237243569579447*pD1 - 1.2247448713915889*pV1);
+    outr[3*B+b] += s2*(0.61237243569579447*pD1 + 1.2247448713915889*pV1);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p1_ten_lbo_diff_bnd0_lo_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] - 1.2247448713915889*f[2*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] - 1.2247448713915889*f[3*B+b];
+    const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1;
+    const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0;
+    out[2*B+b] += s2*(1.2247448713915889*pV0);
+    out[3*B+b] += s2*(1.2247448713915889*pV1);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p1_ten_lbo_diff_bnd0_up_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] + 1.2247448713915889*f[2*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] + 1.2247448713915889*f[3*B+b];
+    const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1;
+    const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0;
+    out[2*B+b] += s2*(-1.2247448713915889*pV0);
+    out[3*B+b] += s2*(-1.2247448713915889*pV1);
+  }
+}
+
 }  // namespace
 
-void registerKernels() {
+__attribute__((cold)) void registerKernels() {
   {
     VlasovBatchedKernels b;
     b.lanes = 4;
@@ -115,6 +200,10 @@ void registerKernels() {
     b.accelVol = vlasov_1x1v_p1_ten_accel_vol_bat<4>;
     b.streamSurf[0] = vlasov_1x1v_p1_ten_stream_surf0_bat<4>;
     b.accelSurf[0] = vlasov_1x1v_p1_ten_accel_surf0_bat<4>;
+    b.lbo.diffVol = vlasov_1x1v_p1_ten_lbo_diff_vol_bat<4>;
+    b.lbo.diffSurf[0] = vlasov_1x1v_p1_ten_lbo_diff_surf0_bat<4>;
+    b.lbo.diffBound[0][0] = vlasov_1x1v_p1_ten_lbo_diff_bnd0_lo_bat<4>;
+    b.lbo.diffBound[0][1] = vlasov_1x1v_p1_ten_lbo_diff_bnd0_up_bat<4>;
     registerBatchedKernels("1x1v_p1_ten", b);
   }
   {
@@ -124,6 +213,10 @@ void registerKernels() {
     b.accelVol = vlasov_1x1v_p1_ten_accel_vol_bat<8>;
     b.streamSurf[0] = vlasov_1x1v_p1_ten_stream_surf0_bat<8>;
     b.accelSurf[0] = vlasov_1x1v_p1_ten_accel_surf0_bat<8>;
+    b.lbo.diffVol = vlasov_1x1v_p1_ten_lbo_diff_vol_bat<8>;
+    b.lbo.diffSurf[0] = vlasov_1x1v_p1_ten_lbo_diff_surf0_bat<8>;
+    b.lbo.diffBound[0][0] = vlasov_1x1v_p1_ten_lbo_diff_bnd0_lo_bat<8>;
+    b.lbo.diffBound[0][1] = vlasov_1x1v_p1_ten_lbo_diff_bnd0_up_bat<8>;
     registerBatchedKernels("1x1v_p1_ten", b);
   }
 }

@@ -1,6 +1,7 @@
 // ============================================================================
 // AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.
-// SIMD-batched (AoSoA) modal DG Vlasov kernels for the 1x1v_p2_ser basis:
+// SIMD-batched (AoSoA) modal DG Vlasov and LBO-diffusion kernels for the
+// 1x1v_p2_ser basis:
 // the scalar kernels of vlasov_1x1v_p2_ser.cpp with the cell index turned
 // into an inner lane loop over a block of B cells (mode-major, lane-minor
 // layout, element i of lane b at [i*B+b]) so the compiler autovectorizes
@@ -136,9 +137,123 @@ void vlasov_1x1v_p2_ser_accel_surf0_bat(const double* __restrict dxv, const doub
   }
 }
 
+// LBO diffusion volume kernel: exact DG volume integral of the twice
+// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,
+// with D = vtSq the configuration-space vth^2 expansion (3 coefficients).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p2_ser_lbo_diff_vol_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdv2_0 = 2.0/dxv[1];
+  const double s2_0 = rdv2_0*rdv2_0;
+  for (int b = 0; b < B; ++b) {
+    out[5*B+b] += s2_0*((4.7434164902525744*vtSq[0])*f[0*B+b] + (4.7434164902525735*vtSq[1])*f[1*B+b] + (4.7434164902525779*vtSq[2])*f[3*B+b]);
+    out[7*B+b] += s2_0*((4.7434164902525735*vtSq[1])*f[0*B+b] + (4.7434164902525735*vtSq[0] + 4.242640687119291*vtSq[2])*f[1*B+b] + (4.242640687119291*vtSq[1])*f[3*B+b]);
+  }
+}
+
+// LBO diffusion surface kernel, velocity direction 0: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p2_ser_lbo_diff_surf0_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  for (int b = 0; b < B; ++b) {
+    const double rv0 = 0.35355339059327356*fl[0*B+b] + 0.35355339059327295*fr[0*B+b] + 0.49755260400283352*fl[2*B+b] - 0.49755260400283163*fr[2*B+b] + 0.3458741190809167*fl[5*B+b] + 0.34587411908091609*fr[5*B+b];
+    const double rd0 = -2.651650429449556*fl[0*B+b] + 2.651650429449556*fr[0*B+b] - 3.3680483963268748*fl[2*B+b] - 3.3680483963268757*fr[2*B+b] - 1.8973665961010318*fl[5*B+b] + 1.8973665961010329*fr[5*B+b];
+    const double rv1 = 0.35355339059327356*fl[1*B+b] + 0.35355339059327295*fr[1*B+b] + 0.49755260400283352*fl[4*B+b] - 0.49755260400283163*fr[4*B+b] + 0.3458741190809167*fl[7*B+b] + 0.34587411908091609*fr[7*B+b];
+    const double rd1 = -2.651650429449556*fl[1*B+b] + 2.651650429449556*fr[1*B+b] - 3.3680483963268748*fl[4*B+b] - 3.3680483963268757*fr[4*B+b] - 1.8973665961010318*fl[7*B+b] + 1.8973665961010329*fr[7*B+b];
+    const double rv2 = 0.35355339059327356*fl[3*B+b] + 0.35355339059327295*fr[3*B+b] + 0.49755260400283352*fl[6*B+b] - 0.49755260400283163*fr[6*B+b];
+    const double rd2 = -2.651650429449556*fl[3*B+b] + 2.651650429449556*fr[3*B+b] - 3.3680483963268748*fl[6*B+b] - 3.3680483963268757*fr[6*B+b];
+    const double pD0 = 0.70710678118654779*dF0*rd0 + 0.70710678118654757*dF1*rd1 + 0.70710678118654824*dF2*rd2;
+    const double pD1 = 0.70710678118654757*dF0*rd1 + 0.70710678118654757*dF1*rd0 + 0.63245553203367622*dF1*rd2 + 0.63245553203367622*dF2*rd1;
+    const double pD2 = 0.70710678118654813*dF0*rd2 + 0.63245553203367622*dF1*rd1 + 0.70710678118654813*dF2*rd0 + 0.45175395145262659*dF2*rd2;
+    const double pV0 = 0.70710678118654779*dF0*rv0 + 0.70710678118654757*dF1*rv1 + 0.70710678118654824*dF2*rv2;
+    const double pV1 = 0.70710678118654757*dF0*rv1 + 0.70710678118654757*dF1*rv0 + 0.63245553203367622*dF1*rv2 + 0.63245553203367622*dF2*rv1;
+    const double pV2 = 0.70710678118654813*dF0*rv2 + 0.63245553203367622*dF1*rv1 + 0.70710678118654813*dF2*rv0 + 0.45175395145262659*dF2*rv2;
+    outl[0*B+b] += s2*(0.35355339059327379*pD0);
+    outr[0*B+b] += s2*(-0.35355339059327379*pD0);
+    outl[1*B+b] += s2*(0.35355339059327379*pD1);
+    outr[1*B+b] += s2*(-0.35355339059327379*pD1);
+    outl[2*B+b] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+    outr[2*B+b] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+    outl[3*B+b] += s2*(0.35355339059327379*pD2);
+    outr[3*B+b] += s2*(-0.35355339059327379*pD2);
+    outl[4*B+b] += s2*(0.61237243569579447*pD1 - 1.2247448713915889*pV1);
+    outr[4*B+b] += s2*(0.61237243569579447*pD1 + 1.2247448713915889*pV1);
+    outl[5*B+b] += s2*(0.79056941504209488*pD0 - 4.7434164902525691*pV0);
+    outr[5*B+b] += s2*(-0.79056941504209488*pD0 - 4.7434164902525691*pV0);
+    outl[6*B+b] += s2*(0.61237243569579447*pD2 - 1.2247448713915889*pV2);
+    outr[6*B+b] += s2*(0.61237243569579447*pD2 + 1.2247448713915889*pV2);
+    outl[7*B+b] += s2*(0.79056941504209488*pD1 - 4.7434164902525691*pV1);
+    outr[7*B+b] += s2*(-0.79056941504209488*pD1 - 4.7434164902525691*pV1);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p2_ser_lbo_diff_bnd0_lo_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] - 1.2247448713915889*f[2*B+b] + 1.5811388300841898*f[5*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] - 1.2247448713915889*f[4*B+b] + 1.5811388300841898*f[7*B+b];
+    const double tr2 = 0.70710678118654757*f[3*B+b] - 1.2247448713915889*f[6*B+b];
+    const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1 + 0.70710678118654824*dF2*tr2;
+    const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0 + 0.63245553203367622*dF1*tr2 + 0.63245553203367622*dF2*tr1;
+    const double pV2 = 0.70710678118654813*dF0*tr2 + 0.63245553203367622*dF1*tr1 + 0.70710678118654813*dF2*tr0 + 0.45175395145262659*dF2*tr2;
+    out[2*B+b] += s2*(1.2247448713915889*pV0);
+    out[4*B+b] += s2*(1.2247448713915889*pV1);
+    out[5*B+b] += s2*(-4.7434164902525691*pV0);
+    out[6*B+b] += s2*(1.2247448713915889*pV2);
+    out[7*B+b] += s2*(-4.7434164902525691*pV1);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_1x1v_p2_ser_lbo_diff_bnd0_up_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] + 1.2247448713915889*f[2*B+b] + 1.5811388300841898*f[5*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] + 1.2247448713915889*f[4*B+b] + 1.5811388300841898*f[7*B+b];
+    const double tr2 = 0.70710678118654757*f[3*B+b] + 1.2247448713915889*f[6*B+b];
+    const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1 + 0.70710678118654824*dF2*tr2;
+    const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0 + 0.63245553203367622*dF1*tr2 + 0.63245553203367622*dF2*tr1;
+    const double pV2 = 0.70710678118654813*dF0*tr2 + 0.63245553203367622*dF1*tr1 + 0.70710678118654813*dF2*tr0 + 0.45175395145262659*dF2*tr2;
+    out[2*B+b] += s2*(-1.2247448713915889*pV0);
+    out[4*B+b] += s2*(-1.2247448713915889*pV1);
+    out[5*B+b] += s2*(-4.7434164902525691*pV0);
+    out[6*B+b] += s2*(-1.2247448713915889*pV2);
+    out[7*B+b] += s2*(-4.7434164902525691*pV1);
+  }
+}
+
 }  // namespace
 
-void registerKernels() {
+__attribute__((cold)) void registerKernels() {
   {
     VlasovBatchedKernels b;
     b.lanes = 4;
@@ -146,6 +261,10 @@ void registerKernels() {
     b.accelVol = vlasov_1x1v_p2_ser_accel_vol_bat<4>;
     b.streamSurf[0] = vlasov_1x1v_p2_ser_stream_surf0_bat<4>;
     b.accelSurf[0] = vlasov_1x1v_p2_ser_accel_surf0_bat<4>;
+    b.lbo.diffVol = vlasov_1x1v_p2_ser_lbo_diff_vol_bat<4>;
+    b.lbo.diffSurf[0] = vlasov_1x1v_p2_ser_lbo_diff_surf0_bat<4>;
+    b.lbo.diffBound[0][0] = vlasov_1x1v_p2_ser_lbo_diff_bnd0_lo_bat<4>;
+    b.lbo.diffBound[0][1] = vlasov_1x1v_p2_ser_lbo_diff_bnd0_up_bat<4>;
     registerBatchedKernels("1x1v_p2_ser", b);
   }
   {
@@ -155,6 +274,10 @@ void registerKernels() {
     b.accelVol = vlasov_1x1v_p2_ser_accel_vol_bat<8>;
     b.streamSurf[0] = vlasov_1x1v_p2_ser_stream_surf0_bat<8>;
     b.accelSurf[0] = vlasov_1x1v_p2_ser_accel_surf0_bat<8>;
+    b.lbo.diffVol = vlasov_1x1v_p2_ser_lbo_diff_vol_bat<8>;
+    b.lbo.diffSurf[0] = vlasov_1x1v_p2_ser_lbo_diff_surf0_bat<8>;
+    b.lbo.diffBound[0][0] = vlasov_1x1v_p2_ser_lbo_diff_bnd0_lo_bat<8>;
+    b.lbo.diffBound[0][1] = vlasov_1x1v_p2_ser_lbo_diff_bnd0_up_bat<8>;
     registerBatchedKernels("1x1v_p2_ser", b);
   }
 }

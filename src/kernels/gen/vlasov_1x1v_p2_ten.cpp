@@ -1,8 +1,9 @@
 // ============================================================================
 // AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.
-// Exact (alias-free) modal DG Vlasov kernels for the 1x1v_p2_ten basis,
-// rendered from the symbolically integrated sparse tensors with all
-// constants folded to double precision (the paper's Maxima-CAS workflow).
+// Exact (alias-free) modal DG Vlasov and LBO-diffusion kernels for the
+// 1x1v_p2_ten basis, rendered from the symbolically integrated sparse
+// tensors with all constants folded to double precision (the paper's
+// Maxima-CAS workflow).
 // Regenerate with: gen_kernels <output-dir>
 // ============================================================================
 // clang-format off
@@ -121,13 +122,116 @@ void vlasov_1x1v_p2_ten_accel_surf0(const double* dxv, const double* al, const d
   outr[8] += rdx2*1.5811388300841898*fhat2;
 }
 
-void registerKernels() {
+static // LBO diffusion volume kernel: exact DG volume integral of the twice
+// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,
+// with D = vtSq the configuration-space vth^2 expansion (3 coefficients).
+void vlasov_1x1v_p2_ten_lbo_diff_vol(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdv2_0 = 2.0/dxv[1];
+  const double s2_0 = rdv2_0*rdv2_0;
+  out[5] += s2_0*((4.7434164902525744*vtSq[0])*f[0] + (4.7434164902525735*vtSq[1])*f[1] + (4.7434164902525779*vtSq[2])*f[3]);
+  out[7] += s2_0*((4.7434164902525735*vtSq[1])*f[0] + (4.7434164902525735*vtSq[0] + 4.242640687119291*vtSq[2])*f[1] + (4.242640687119291*vtSq[1])*f[3]);
+  out[8] += s2_0*((4.7434164902525771*vtSq[2])*f[0] + (4.242640687119291*vtSq[1])*f[1] + (4.7434164902525771*vtSq[0] + 3.0304576336566411*vtSq[2])*f[3]);
+}
+
+static // LBO diffusion surface kernel, velocity direction 0: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+void vlasov_1x1v_p2_ten_lbo_diff_surf0(const double* dxv, const double* vtSq, const double* fl, const double* fr, double* outl, double* outr) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  const double rv0 = 0.35355339059327356*fl[0] + 0.35355339059327295*fr[0] + 0.49755260400283352*fl[2] - 0.49755260400283163*fr[2] + 0.3458741190809167*fl[5] + 0.34587411908091609*fr[5];
+  const double rd0 = -2.651650429449556*fl[0] + 2.651650429449556*fr[0] - 3.3680483963268748*fl[2] - 3.3680483963268757*fr[2] - 1.8973665961010318*fl[5] + 1.8973665961010329*fr[5];
+  const double rv1 = 0.35355339059327356*fl[1] + 0.35355339059327295*fr[1] + 0.49755260400283352*fl[4] - 0.49755260400283163*fr[4] + 0.3458741190809167*fl[7] + 0.34587411908091609*fr[7];
+  const double rd1 = -2.651650429449556*fl[1] + 2.651650429449556*fr[1] - 3.3680483963268748*fl[4] - 3.3680483963268757*fr[4] - 1.8973665961010318*fl[7] + 1.8973665961010329*fr[7];
+  const double rv2 = 0.35355339059327356*fl[3] + 0.35355339059327295*fr[3] + 0.49755260400283352*fl[6] - 0.49755260400283163*fr[6] + 0.3458741190809167*fl[8] + 0.34587411908091609*fr[8];
+  const double rd2 = -2.651650429449556*fl[3] + 2.651650429449556*fr[3] - 3.3680483963268748*fl[6] - 3.3680483963268757*fr[6] - 1.8973665961010318*fl[8] + 1.8973665961010329*fr[8];
+  const double pD0 = 0.70710678118654779*dF0*rd0 + 0.70710678118654757*dF1*rd1 + 0.70710678118654824*dF2*rd2;
+  const double pD1 = 0.70710678118654757*dF0*rd1 + 0.70710678118654757*dF1*rd0 + 0.63245553203367622*dF1*rd2 + 0.63245553203367622*dF2*rd1;
+  const double pD2 = 0.70710678118654813*dF0*rd2 + 0.63245553203367622*dF1*rd1 + 0.70710678118654813*dF2*rd0 + 0.45175395145262659*dF2*rd2;
+  const double pV0 = 0.70710678118654779*dF0*rv0 + 0.70710678118654757*dF1*rv1 + 0.70710678118654824*dF2*rv2;
+  const double pV1 = 0.70710678118654757*dF0*rv1 + 0.70710678118654757*dF1*rv0 + 0.63245553203367622*dF1*rv2 + 0.63245553203367622*dF2*rv1;
+  const double pV2 = 0.70710678118654813*dF0*rv2 + 0.63245553203367622*dF1*rv1 + 0.70710678118654813*dF2*rv0 + 0.45175395145262659*dF2*rv2;
+  outl[0] += s2*(0.35355339059327379*pD0);
+  outr[0] += s2*(-0.35355339059327379*pD0);
+  outl[1] += s2*(0.35355339059327379*pD1);
+  outr[1] += s2*(-0.35355339059327379*pD1);
+  outl[2] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+  outr[2] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+  outl[3] += s2*(0.35355339059327379*pD2);
+  outr[3] += s2*(-0.35355339059327379*pD2);
+  outl[4] += s2*(0.61237243569579447*pD1 - 1.2247448713915889*pV1);
+  outr[4] += s2*(0.61237243569579447*pD1 + 1.2247448713915889*pV1);
+  outl[5] += s2*(0.79056941504209488*pD0 - 4.7434164902525691*pV0);
+  outr[5] += s2*(-0.79056941504209488*pD0 - 4.7434164902525691*pV0);
+  outl[6] += s2*(0.61237243569579447*pD2 - 1.2247448713915889*pV2);
+  outr[6] += s2*(0.61237243569579447*pD2 + 1.2247448713915889*pV2);
+  outl[7] += s2*(0.79056941504209488*pD1 - 4.7434164902525691*pV1);
+  outr[7] += s2*(-0.79056941504209488*pD1 - 4.7434164902525691*pV1);
+  outl[8] += s2*(0.79056941504209488*pD2 - 4.7434164902525691*pV2);
+  outr[8] += s2*(-0.79056941504209488*pD2 - 4.7434164902525691*pV2);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 0, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_1x1v_p2_ten_lbo_diff_bnd0_lo(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  const double tr0 = 0.70710678118654757*f[0] - 1.2247448713915889*f[2] + 1.5811388300841898*f[5];
+  const double tr1 = 0.70710678118654757*f[1] - 1.2247448713915889*f[4] + 1.5811388300841898*f[7];
+  const double tr2 = 0.70710678118654757*f[3] - 1.2247448713915889*f[6] + 1.5811388300841898*f[8];
+  const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1 + 0.70710678118654824*dF2*tr2;
+  const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0 + 0.63245553203367622*dF1*tr2 + 0.63245553203367622*dF2*tr1;
+  const double pV2 = 0.70710678118654813*dF0*tr2 + 0.63245553203367622*dF1*tr1 + 0.70710678118654813*dF2*tr0 + 0.45175395145262659*dF2*tr2;
+  out[2] += s2*(1.2247448713915889*pV0);
+  out[4] += s2*(1.2247448713915889*pV1);
+  out[5] += s2*(-4.7434164902525691*pV0);
+  out[6] += s2*(1.2247448713915889*pV2);
+  out[7] += s2*(-4.7434164902525691*pV1);
+  out[8] += s2*(-4.7434164902525691*pV2);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 0, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_1x1v_p2_ten_lbo_diff_bnd0_up(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  const double tr0 = 0.70710678118654757*f[0] + 1.2247448713915889*f[2] + 1.5811388300841898*f[5];
+  const double tr1 = 0.70710678118654757*f[1] + 1.2247448713915889*f[4] + 1.5811388300841898*f[7];
+  const double tr2 = 0.70710678118654757*f[3] + 1.2247448713915889*f[6] + 1.5811388300841898*f[8];
+  const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1 + 0.70710678118654824*dF2*tr2;
+  const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0 + 0.63245553203367622*dF1*tr2 + 0.63245553203367622*dF2*tr1;
+  const double pV2 = 0.70710678118654813*dF0*tr2 + 0.63245553203367622*dF1*tr1 + 0.70710678118654813*dF2*tr0 + 0.45175395145262659*dF2*tr2;
+  out[2] += s2*(-1.2247448713915889*pV0);
+  out[4] += s2*(-1.2247448713915889*pV1);
+  out[5] += s2*(-4.7434164902525691*pV0);
+  out[6] += s2*(-1.2247448713915889*pV2);
+  out[7] += s2*(-4.7434164902525691*pV1);
+  out[8] += s2*(-4.7434164902525691*pV2);
+}
+
+__attribute__((cold)) void registerKernels() {
   VlasovCompiledKernels k;
   k.numPhaseModes = 9;
   k.streamVol = vlasov_1x1v_p2_ten_stream_vol;
   k.accelVol = vlasov_1x1v_p2_ten_accel_vol;
   k.streamSurf[0] = vlasov_1x1v_p2_ten_stream_surf0;
   k.accelSurf[0] = vlasov_1x1v_p2_ten_accel_surf0;
+  k.lbo.diffVol = vlasov_1x1v_p2_ten_lbo_diff_vol;
+  k.lbo.diffSurf[0] = vlasov_1x1v_p2_ten_lbo_diff_surf0;
+  k.lbo.diffBound[0][0] = vlasov_1x1v_p2_ten_lbo_diff_bnd0_lo;
+  k.lbo.diffBound[0][1] = vlasov_1x1v_p2_ten_lbo_diff_bnd0_up;
   registerCompiledKernels("1x1v_p2_ten", k);
 }
 

@@ -1,8 +1,9 @@
 // ============================================================================
 // AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.
-// Exact (alias-free) modal DG Vlasov kernels for the 1x1v_p3_ser basis,
-// rendered from the symbolically integrated sparse tensors with all
-// constants folded to double precision (the paper's Maxima-CAS workflow).
+// Exact (alias-free) modal DG Vlasov and LBO-diffusion kernels for the
+// 1x1v_p3_ser basis, rendered from the symbolically integrated sparse
+// tensors with all constants folded to double precision (the paper's
+// Maxima-CAS workflow).
 // Regenerate with: gen_kernels <output-dir>
 // ============================================================================
 // clang-format off
@@ -146,13 +147,138 @@ void vlasov_1x1v_p3_ser_accel_surf0(const double* dxv, const double* al, const d
   outr[11] += rdx2*-1.8708286933869707*fhat1;
 }
 
-void registerKernels() {
+static // LBO diffusion volume kernel: exact DG volume integral of the twice
+// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,
+// with D = vtSq the configuration-space vth^2 expansion (4 coefficients).
+void vlasov_1x1v_p3_ser_lbo_diff_vol(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdv2_0 = 2.0/dxv[1];
+  const double s2_0 = rdv2_0*rdv2_0;
+  out[5] += s2_0*((4.7434164902525744*vtSq[0])*f[0] + (4.7434164902525735*vtSq[1])*f[1] + (4.7434164902525779*vtSq[2])*f[3] + (4.7434164902525779*vtSq[3])*f[6]);
+  out[8] += s2_0*((4.7434164902525735*vtSq[1])*f[0] + (4.7434164902525735*vtSq[0] + 4.242640687119291*vtSq[2])*f[1] + (4.242640687119291*vtSq[1] + 4.1661904489764927*vtSq[3])*f[3] + (4.1661904489764927*vtSq[2])*f[6]);
+  out[9] += s2_0*((16.201851746019766*vtSq[0])*f[2] + (16.201851746019759*vtSq[1])*f[4] + (16.201851746019777*vtSq[2])*f[7] + (1.2967404927621833e-13*vtSq[0])*f[9] + (16.201851746019777*vtSq[3])*f[10] + (1.2967404927621831e-13*vtSq[1])*f[11]);
+  out[11] += s2_0*((16.201851746019759*vtSq[1])*f[2] + (16.201851746019759*vtSq[0] + 14.491376746189545*vtSq[2])*f[4] + (14.491376746189545*vtSq[1] + 14.23024947075783*vtSq[3])*f[7] + (1.2967404927621831e-13*vtSq[1])*f[9] + (14.23024947075783*vtSq[2])*f[10] + (1.2967404927621831e-13*vtSq[0] + 1.1598399563971267e-13*vtSq[2])*f[11]);
+}
+
+static // LBO diffusion surface kernel, velocity direction 0: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+void vlasov_1x1v_p3_ser_lbo_diff_surf0(const double* dxv, const double* vtSq, const double* fl, const double* fr, double* outl, double* outr) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  const double dF3 = 1.0000000000000002*vtSq[3];
+  const double rv0 = 0.35355339059327195*fl[0] + 0.35355339059327762*fr[0] + 0.53582588123381614*fl[2] - 0.53582588123382624*fr[2] + 0.49410588440130676*fl[5] + 0.49410588440131681*fr[5] + 0.26726124191241668*fl[9] - 0.26726124191242545*fr[9];
+  const double rd0 = -3.866990209613931*fl[0] + 3.8669902096139297*fr[0] - 5.4730786440311654*fl[2] - 5.4730786440311654*fr[2] - 4.3975423711716495*fl[5] + 4.3975423711716548*fr[5] - 1.9292920900553059*fl[9] - 1.9292920900553259*fr[9];
+  const double rv1 = 0.35355339059327195*fl[1] + 0.35355339059327762*fr[1] + 0.53582588123381614*fl[4] - 0.53582588123382624*fr[4] + 0.49410588440130676*fl[8] + 0.49410588440131681*fr[8] + 0.26726124191241668*fl[11] - 0.26726124191242545*fr[11];
+  const double rd1 = -3.866990209613931*fl[1] + 3.8669902096139297*fr[1] - 5.4730786440311654*fl[4] - 5.4730786440311654*fr[4] - 4.3975423711716495*fl[8] + 4.3975423711716548*fr[8] - 1.9292920900553059*fl[11] - 1.9292920900553259*fr[11];
+  const double rv2 = 0.35355339059327195*fl[3] + 0.35355339059327762*fr[3] + 0.53582588123381614*fl[7] - 0.53582588123382624*fr[7];
+  const double rd2 = -3.866990209613931*fl[3] + 3.8669902096139297*fr[3] - 5.4730786440311654*fl[7] - 5.4730786440311654*fr[7];
+  const double rv3 = 0.35355339059327195*fl[6] + 0.35355339059327762*fr[6] + 0.53582588123381614*fl[10] - 0.53582588123382624*fr[10];
+  const double rd3 = -3.866990209613931*fl[6] + 3.8669902096139297*fr[6] - 5.4730786440311654*fl[10] - 5.4730786440311654*fr[10];
+  const double pD0 = 0.70710678118654779*dF0*rd0 + 0.70710678118654757*dF1*rd1 + 0.70710678118654824*dF2*rd2 + 0.70710678118654824*dF3*rd3;
+  const double pD1 = 0.70710678118654757*dF0*rd1 + 0.70710678118654757*dF1*rd0 + 0.63245553203367622*dF1*rd2 + 0.63245553203367622*dF2*rd1 + 0.62105900340811993*dF2*rd3 + 0.62105900340811993*dF3*rd2;
+  const double pD2 = 0.70710678118654813*dF0*rd2 + 0.63245553203367622*dF1*rd1 + 0.62105900340812004*dF1*rd3 + 0.70710678118654813*dF2*rd0 + 0.45175395145262659*dF2*rd2 + 0.62105900340812004*dF3*rd1 + 0.42163702135578585*dF3*rd3;
+  const double pD3 = 0.70710678118654824*dF0*rd3 + 0.62105900340811993*dF1*rd2 + 0.62105900340811993*dF2*rd1 + 0.42163702135578585*dF2*rd3 + 0.70710678118654824*dF3*rd0 + 0.42163702135578585*dF3*rd2;
+  const double pV0 = 0.70710678118654779*dF0*rv0 + 0.70710678118654757*dF1*rv1 + 0.70710678118654824*dF2*rv2 + 0.70710678118654824*dF3*rv3;
+  const double pV1 = 0.70710678118654757*dF0*rv1 + 0.70710678118654757*dF1*rv0 + 0.63245553203367622*dF1*rv2 + 0.63245553203367622*dF2*rv1 + 0.62105900340811993*dF2*rv3 + 0.62105900340811993*dF3*rv2;
+  const double pV2 = 0.70710678118654813*dF0*rv2 + 0.63245553203367622*dF1*rv1 + 0.62105900340812004*dF1*rv3 + 0.70710678118654813*dF2*rv0 + 0.45175395145262659*dF2*rv2 + 0.62105900340812004*dF3*rv1 + 0.42163702135578585*dF3*rv3;
+  const double pV3 = 0.70710678118654824*dF0*rv3 + 0.62105900340811993*dF1*rv2 + 0.62105900340811993*dF2*rv1 + 0.42163702135578585*dF2*rv3 + 0.70710678118654824*dF3*rv0 + 0.42163702135578585*dF3*rv2;
+  outl[0] += s2*(0.35355339059327379*pD0);
+  outr[0] += s2*(-0.35355339059327379*pD0);
+  outl[1] += s2*(0.35355339059327379*pD1);
+  outr[1] += s2*(-0.35355339059327379*pD1);
+  outl[2] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+  outr[2] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+  outl[3] += s2*(0.35355339059327379*pD2);
+  outr[3] += s2*(-0.35355339059327379*pD2);
+  outl[4] += s2*(0.61237243569579447*pD1 - 1.2247448713915889*pV1);
+  outr[4] += s2*(0.61237243569579447*pD1 + 1.2247448713915889*pV1);
+  outl[5] += s2*(0.79056941504209488*pD0 - 4.7434164902525691*pV0);
+  outr[5] += s2*(-0.79056941504209488*pD0 - 4.7434164902525691*pV0);
+  outl[6] += s2*(0.35355339059327379*pD3);
+  outr[6] += s2*(-0.35355339059327379*pD3);
+  outl[7] += s2*(0.61237243569579447*pD2 - 1.2247448713915889*pV2);
+  outr[7] += s2*(0.61237243569579447*pD2 + 1.2247448713915889*pV2);
+  outl[8] += s2*(0.79056941504209488*pD1 - 4.7434164902525691*pV1);
+  outr[8] += s2*(-0.79056941504209488*pD1 - 4.7434164902525691*pV1);
+  outl[9] += s2*(0.93541434669348533*pD0 - 11.224972160321824*pV0);
+  outr[9] += s2*(0.93541434669348533*pD0 + 11.224972160321824*pV0);
+  outl[10] += s2*(0.61237243569579447*pD3 - 1.2247448713915889*pV3);
+  outr[10] += s2*(0.61237243569579447*pD3 + 1.2247448713915889*pV3);
+  outl[11] += s2*(0.93541434669348533*pD1 - 11.224972160321824*pV1);
+  outr[11] += s2*(0.93541434669348533*pD1 + 11.224972160321824*pV1);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 0, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_1x1v_p3_ser_lbo_diff_bnd0_lo(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  const double dF3 = 1.0000000000000002*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] - 1.2247448713915889*f[2] + 1.5811388300841898*f[5] - 1.8708286933869707*f[9];
+  const double tr1 = 0.70710678118654757*f[1] - 1.2247448713915889*f[4] + 1.5811388300841898*f[8] - 1.8708286933869707*f[11];
+  const double tr2 = 0.70710678118654757*f[3] - 1.2247448713915889*f[7];
+  const double tr3 = 0.70710678118654757*f[6] - 1.2247448713915889*f[10];
+  const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1 + 0.70710678118654824*dF2*tr2 + 0.70710678118654824*dF3*tr3;
+  const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0 + 0.63245553203367622*dF1*tr2 + 0.63245553203367622*dF2*tr1 + 0.62105900340811993*dF2*tr3 + 0.62105900340811993*dF3*tr2;
+  const double pV2 = 0.70710678118654813*dF0*tr2 + 0.63245553203367622*dF1*tr1 + 0.62105900340812004*dF1*tr3 + 0.70710678118654813*dF2*tr0 + 0.45175395145262659*dF2*tr2 + 0.62105900340812004*dF3*tr1 + 0.42163702135578585*dF3*tr3;
+  const double pV3 = 0.70710678118654824*dF0*tr3 + 0.62105900340811993*dF1*tr2 + 0.62105900340811993*dF2*tr1 + 0.42163702135578585*dF2*tr3 + 0.70710678118654824*dF3*tr0 + 0.42163702135578585*dF3*tr2;
+  out[2] += s2*(1.2247448713915889*pV0);
+  out[4] += s2*(1.2247448713915889*pV1);
+  out[5] += s2*(-4.7434164902525691*pV0);
+  out[7] += s2*(1.2247448713915889*pV2);
+  out[8] += s2*(-4.7434164902525691*pV1);
+  out[9] += s2*(11.224972160321824*pV0);
+  out[10] += s2*(1.2247448713915889*pV3);
+  out[11] += s2*(11.224972160321824*pV1);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 0, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_1x1v_p3_ser_lbo_diff_bnd0_up(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[1];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.0000000000000002*vtSq[0];
+  const double dF1 = 1.0000000000000002*vtSq[1];
+  const double dF2 = 1.0000000000000002*vtSq[2];
+  const double dF3 = 1.0000000000000002*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] + 1.2247448713915889*f[2] + 1.5811388300841898*f[5] + 1.8708286933869707*f[9];
+  const double tr1 = 0.70710678118654757*f[1] + 1.2247448713915889*f[4] + 1.5811388300841898*f[8] + 1.8708286933869707*f[11];
+  const double tr2 = 0.70710678118654757*f[3] + 1.2247448713915889*f[7];
+  const double tr3 = 0.70710678118654757*f[6] + 1.2247448713915889*f[10];
+  const double pV0 = 0.70710678118654779*dF0*tr0 + 0.70710678118654757*dF1*tr1 + 0.70710678118654824*dF2*tr2 + 0.70710678118654824*dF3*tr3;
+  const double pV1 = 0.70710678118654757*dF0*tr1 + 0.70710678118654757*dF1*tr0 + 0.63245553203367622*dF1*tr2 + 0.63245553203367622*dF2*tr1 + 0.62105900340811993*dF2*tr3 + 0.62105900340811993*dF3*tr2;
+  const double pV2 = 0.70710678118654813*dF0*tr2 + 0.63245553203367622*dF1*tr1 + 0.62105900340812004*dF1*tr3 + 0.70710678118654813*dF2*tr0 + 0.45175395145262659*dF2*tr2 + 0.62105900340812004*dF3*tr1 + 0.42163702135578585*dF3*tr3;
+  const double pV3 = 0.70710678118654824*dF0*tr3 + 0.62105900340811993*dF1*tr2 + 0.62105900340811993*dF2*tr1 + 0.42163702135578585*dF2*tr3 + 0.70710678118654824*dF3*tr0 + 0.42163702135578585*dF3*tr2;
+  out[2] += s2*(-1.2247448713915889*pV0);
+  out[4] += s2*(-1.2247448713915889*pV1);
+  out[5] += s2*(-4.7434164902525691*pV0);
+  out[7] += s2*(-1.2247448713915889*pV2);
+  out[8] += s2*(-4.7434164902525691*pV1);
+  out[9] += s2*(-11.224972160321824*pV0);
+  out[10] += s2*(-1.2247448713915889*pV3);
+  out[11] += s2*(-11.224972160321824*pV1);
+}
+
+__attribute__((cold)) void registerKernels() {
   VlasovCompiledKernels k;
   k.numPhaseModes = 12;
   k.streamVol = vlasov_1x1v_p3_ser_stream_vol;
   k.accelVol = vlasov_1x1v_p3_ser_accel_vol;
   k.streamSurf[0] = vlasov_1x1v_p3_ser_stream_surf0;
   k.accelSurf[0] = vlasov_1x1v_p3_ser_accel_surf0;
+  k.lbo.diffVol = vlasov_1x1v_p3_ser_lbo_diff_vol;
+  k.lbo.diffSurf[0] = vlasov_1x1v_p3_ser_lbo_diff_surf0;
+  k.lbo.diffBound[0][0] = vlasov_1x1v_p3_ser_lbo_diff_bnd0_lo;
+  k.lbo.diffBound[0][1] = vlasov_1x1v_p3_ser_lbo_diff_bnd0_up;
   registerCompiledKernels("1x1v_p3_ser", k);
 }
 

@@ -1,6 +1,7 @@
 // ============================================================================
 // AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.
-// SIMD-batched (AoSoA) modal DG Vlasov kernels for the 2x2v_p1_ser basis:
+// SIMD-batched (AoSoA) modal DG Vlasov and LBO-diffusion kernels for the
+// 2x2v_p1_ser basis:
 // the scalar kernels of vlasov_2x2v_p1_ser.cpp with the cell index turned
 // into an inner lane loop over a block of B cells (mode-major, lane-minor
 // layout, element i of lane b at [i*B+b]) so the compiler autovectorizes
@@ -401,9 +402,347 @@ void vlasov_2x2v_p1_ser_accel_surf1_bat(const double* __restrict dxv, const doub
   }
 }
 
+// LBO diffusion volume kernel: exact DG volume integral of the twice
+// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,
+// with D = vtSq the configuration-space vth^2 expansion (4 coefficients).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_2x2v_p1_ser_lbo_diff_vol_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  (void)dxv; (void)vtSq; (void)f; (void)out;
+}
+
+// LBO diffusion surface kernel, velocity direction 0: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_2x2v_p1_ser_lbo_diff_surf0_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
+  const double rdx2 = 2.0/dxv[2];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.4142135623730951*vtSq[0];
+  const double dF1 = 1.4142135623730951*vtSq[1];
+  const double dF2 = 1.4142135623730951*vtSq[2];
+  const double dF4 = 1.4142135623730951*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double rv0 = 0.35355339059327373*fl[0*B+b] + 0.35355339059327356*fr[0*B+b] + 0.40824829046386302*fl[3*B+b] - 0.40824829046386268*fr[3*B+b];
+    const double rd0 = -1.5909902576697319*fl[0*B+b] + 1.5909902576697319*fr[0*B+b] - 1.5309310892394858*fl[3*B+b] - 1.5309310892394858*fr[3*B+b];
+    const double rv1 = 0.35355339059327373*fl[1*B+b] + 0.35355339059327356*fr[1*B+b] + 0.40824829046386302*fl[6*B+b] - 0.40824829046386268*fr[6*B+b];
+    const double rd1 = -1.5909902576697319*fl[1*B+b] + 1.5909902576697319*fr[1*B+b] - 1.5309310892394858*fl[6*B+b] - 1.5309310892394858*fr[6*B+b];
+    const double rv2 = 0.35355339059327373*fl[2*B+b] + 0.35355339059327356*fr[2*B+b] + 0.40824829046386302*fl[8*B+b] - 0.40824829046386268*fr[8*B+b];
+    const double rd2 = -1.5909902576697319*fl[2*B+b] + 1.5909902576697319*fr[2*B+b] - 1.5309310892394858*fl[8*B+b] - 1.5309310892394858*fr[8*B+b];
+    const double rv3 = 0.35355339059327373*fl[4*B+b] + 0.35355339059327356*fr[4*B+b] + 0.40824829046386302*fl[10*B+b] - 0.40824829046386268*fr[10*B+b];
+    const double rd3 = -1.5909902576697319*fl[4*B+b] + 1.5909902576697319*fr[4*B+b] - 1.5309310892394858*fl[10*B+b] - 1.5309310892394858*fr[10*B+b];
+    const double rv4 = 0.35355339059327373*fl[5*B+b] + 0.35355339059327356*fr[5*B+b] + 0.40824829046386302*fl[11*B+b] - 0.40824829046386268*fr[11*B+b];
+    const double rd4 = -1.5909902576697319*fl[5*B+b] + 1.5909902576697319*fr[5*B+b] - 1.5309310892394858*fl[11*B+b] - 1.5309310892394858*fr[11*B+b];
+    const double rv5 = 0.35355339059327373*fl[7*B+b] + 0.35355339059327356*fr[7*B+b] + 0.40824829046386302*fl[13*B+b] - 0.40824829046386268*fr[13*B+b];
+    const double rd5 = -1.5909902576697319*fl[7*B+b] + 1.5909902576697319*fr[7*B+b] - 1.5309310892394858*fl[13*B+b] - 1.5309310892394858*fr[13*B+b];
+    const double rv6 = 0.35355339059327373*fl[9*B+b] + 0.35355339059327356*fr[9*B+b] + 0.40824829046386302*fl[14*B+b] - 0.40824829046386268*fr[14*B+b];
+    const double rd6 = -1.5909902576697319*fl[9*B+b] + 1.5909902576697319*fr[9*B+b] - 1.5309310892394858*fl[14*B+b] - 1.5309310892394858*fr[14*B+b];
+    const double rv7 = 0.35355339059327373*fl[12*B+b] + 0.35355339059327356*fr[12*B+b] + 0.40824829046386302*fl[15*B+b] - 0.40824829046386268*fr[15*B+b];
+    const double rd7 = -1.5909902576697319*fl[12*B+b] + 1.5909902576697319*fr[12*B+b] - 1.5309310892394858*fl[15*B+b] - 1.5309310892394858*fr[15*B+b];
+    const double pD0 = 0.35355339059327412*dF0*rd0 + 0.35355339059327406*dF1*rd1 + 0.35355339059327406*dF2*rd2 + 0.35355339059327395*dF4*rd4;
+    const double pD1 = 0.35355339059327406*dF0*rd1 + 0.35355339059327406*dF1*rd0 + 0.35355339059327395*dF2*rd4 + 0.35355339059327395*dF4*rd2;
+    const double pD2 = 0.35355339059327406*dF0*rd2 + 0.35355339059327395*dF1*rd4 + 0.35355339059327406*dF2*rd0 + 0.35355339059327395*dF4*rd1;
+    const double pD3 = 0.35355339059327401*dF0*rd3 + 0.35355339059327395*dF1*rd5 + 0.35355339059327395*dF2*rd6 + 0.35355339059327384*dF4*rd7;
+    const double pD4 = 0.35355339059327395*dF0*rd4 + 0.35355339059327395*dF1*rd2 + 0.35355339059327395*dF2*rd1 + 0.35355339059327395*dF4*rd0;
+    const double pD5 = 0.35355339059327395*dF0*rd5 + 0.35355339059327395*dF1*rd3 + 0.35355339059327384*dF2*rd7 + 0.35355339059327384*dF4*rd6;
+    const double pD6 = 0.35355339059327395*dF0*rd6 + 0.35355339059327384*dF1*rd7 + 0.35355339059327395*dF2*rd3 + 0.35355339059327384*dF4*rd5;
+    const double pD7 = 0.35355339059327384*dF0*rd7 + 0.35355339059327384*dF1*rd6 + 0.35355339059327384*dF2*rd5 + 0.35355339059327384*dF4*rd3;
+    const double pV0 = 0.35355339059327412*dF0*rv0 + 0.35355339059327406*dF1*rv1 + 0.35355339059327406*dF2*rv2 + 0.35355339059327395*dF4*rv4;
+    const double pV1 = 0.35355339059327406*dF0*rv1 + 0.35355339059327406*dF1*rv0 + 0.35355339059327395*dF2*rv4 + 0.35355339059327395*dF4*rv2;
+    const double pV2 = 0.35355339059327406*dF0*rv2 + 0.35355339059327395*dF1*rv4 + 0.35355339059327406*dF2*rv0 + 0.35355339059327395*dF4*rv1;
+    const double pV3 = 0.35355339059327401*dF0*rv3 + 0.35355339059327395*dF1*rv5 + 0.35355339059327395*dF2*rv6 + 0.35355339059327384*dF4*rv7;
+    const double pV4 = 0.35355339059327395*dF0*rv4 + 0.35355339059327395*dF1*rv2 + 0.35355339059327395*dF2*rv1 + 0.35355339059327395*dF4*rv0;
+    const double pV5 = 0.35355339059327395*dF0*rv5 + 0.35355339059327395*dF1*rv3 + 0.35355339059327384*dF2*rv7 + 0.35355339059327384*dF4*rv6;
+    const double pV6 = 0.35355339059327395*dF0*rv6 + 0.35355339059327384*dF1*rv7 + 0.35355339059327395*dF2*rv3 + 0.35355339059327384*dF4*rv5;
+    const double pV7 = 0.35355339059327384*dF0*rv7 + 0.35355339059327384*dF1*rv6 + 0.35355339059327384*dF2*rv5 + 0.35355339059327384*dF4*rv3;
+    outl[0*B+b] += s2*(0.35355339059327379*pD0);
+    outr[0*B+b] += s2*(-0.35355339059327379*pD0);
+    outl[1*B+b] += s2*(0.35355339059327379*pD1);
+    outr[1*B+b] += s2*(-0.35355339059327379*pD1);
+    outl[2*B+b] += s2*(0.35355339059327379*pD2);
+    outr[2*B+b] += s2*(-0.35355339059327379*pD2);
+    outl[3*B+b] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+    outr[3*B+b] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+    outl[4*B+b] += s2*(0.35355339059327379*pD3);
+    outr[4*B+b] += s2*(-0.35355339059327379*pD3);
+    outl[5*B+b] += s2*(0.35355339059327379*pD4);
+    outr[5*B+b] += s2*(-0.35355339059327379*pD4);
+    outl[6*B+b] += s2*(0.61237243569579447*pD1 - 1.2247448713915889*pV1);
+    outr[6*B+b] += s2*(0.61237243569579447*pD1 + 1.2247448713915889*pV1);
+    outl[7*B+b] += s2*(0.35355339059327379*pD5);
+    outr[7*B+b] += s2*(-0.35355339059327379*pD5);
+    outl[8*B+b] += s2*(0.61237243569579447*pD2 - 1.2247448713915889*pV2);
+    outr[8*B+b] += s2*(0.61237243569579447*pD2 + 1.2247448713915889*pV2);
+    outl[9*B+b] += s2*(0.35355339059327379*pD6);
+    outr[9*B+b] += s2*(-0.35355339059327379*pD6);
+    outl[10*B+b] += s2*(0.61237243569579447*pD3 - 1.2247448713915889*pV3);
+    outr[10*B+b] += s2*(0.61237243569579447*pD3 + 1.2247448713915889*pV3);
+    outl[11*B+b] += s2*(0.61237243569579447*pD4 - 1.2247448713915889*pV4);
+    outr[11*B+b] += s2*(0.61237243569579447*pD4 + 1.2247448713915889*pV4);
+    outl[12*B+b] += s2*(0.35355339059327379*pD7);
+    outr[12*B+b] += s2*(-0.35355339059327379*pD7);
+    outl[13*B+b] += s2*(0.61237243569579447*pD5 - 1.2247448713915889*pV5);
+    outr[13*B+b] += s2*(0.61237243569579447*pD5 + 1.2247448713915889*pV5);
+    outl[14*B+b] += s2*(0.61237243569579447*pD6 - 1.2247448713915889*pV6);
+    outr[14*B+b] += s2*(0.61237243569579447*pD6 + 1.2247448713915889*pV6);
+    outl[15*B+b] += s2*(0.61237243569579447*pD7 - 1.2247448713915889*pV7);
+    outr[15*B+b] += s2*(0.61237243569579447*pD7 + 1.2247448713915889*pV7);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_2x2v_p1_ser_lbo_diff_bnd0_lo_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[2];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.4142135623730951*vtSq[0];
+  const double dF1 = 1.4142135623730951*vtSq[1];
+  const double dF2 = 1.4142135623730951*vtSq[2];
+  const double dF4 = 1.4142135623730951*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] - 1.2247448713915889*f[3*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] - 1.2247448713915889*f[6*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b] - 1.2247448713915889*f[8*B+b];
+    const double tr3 = 0.70710678118654757*f[4*B+b] - 1.2247448713915889*f[10*B+b];
+    const double tr4 = 0.70710678118654757*f[5*B+b] - 1.2247448713915889*f[11*B+b];
+    const double tr5 = 0.70710678118654757*f[7*B+b] - 1.2247448713915889*f[13*B+b];
+    const double tr6 = 0.70710678118654757*f[9*B+b] - 1.2247448713915889*f[14*B+b];
+    const double tr7 = 0.70710678118654757*f[12*B+b] - 1.2247448713915889*f[15*B+b];
+    const double pV0 = 0.35355339059327412*dF0*tr0 + 0.35355339059327406*dF1*tr1 + 0.35355339059327406*dF2*tr2 + 0.35355339059327395*dF4*tr4;
+    const double pV1 = 0.35355339059327406*dF0*tr1 + 0.35355339059327406*dF1*tr0 + 0.35355339059327395*dF2*tr4 + 0.35355339059327395*dF4*tr2;
+    const double pV2 = 0.35355339059327406*dF0*tr2 + 0.35355339059327395*dF1*tr4 + 0.35355339059327406*dF2*tr0 + 0.35355339059327395*dF4*tr1;
+    const double pV3 = 0.35355339059327401*dF0*tr3 + 0.35355339059327395*dF1*tr5 + 0.35355339059327395*dF2*tr6 + 0.35355339059327384*dF4*tr7;
+    const double pV4 = 0.35355339059327395*dF0*tr4 + 0.35355339059327395*dF1*tr2 + 0.35355339059327395*dF2*tr1 + 0.35355339059327395*dF4*tr0;
+    const double pV5 = 0.35355339059327395*dF0*tr5 + 0.35355339059327395*dF1*tr3 + 0.35355339059327384*dF2*tr7 + 0.35355339059327384*dF4*tr6;
+    const double pV6 = 0.35355339059327395*dF0*tr6 + 0.35355339059327384*dF1*tr7 + 0.35355339059327395*dF2*tr3 + 0.35355339059327384*dF4*tr5;
+    const double pV7 = 0.35355339059327384*dF0*tr7 + 0.35355339059327384*dF1*tr6 + 0.35355339059327384*dF2*tr5 + 0.35355339059327384*dF4*tr3;
+    out[3*B+b] += s2*(1.2247448713915889*pV0);
+    out[6*B+b] += s2*(1.2247448713915889*pV1);
+    out[8*B+b] += s2*(1.2247448713915889*pV2);
+    out[10*B+b] += s2*(1.2247448713915889*pV3);
+    out[11*B+b] += s2*(1.2247448713915889*pV4);
+    out[13*B+b] += s2*(1.2247448713915889*pV5);
+    out[14*B+b] += s2*(1.2247448713915889*pV6);
+    out[15*B+b] += s2*(1.2247448713915889*pV7);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_2x2v_p1_ser_lbo_diff_bnd0_up_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[2];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.4142135623730951*vtSq[0];
+  const double dF1 = 1.4142135623730951*vtSq[1];
+  const double dF2 = 1.4142135623730951*vtSq[2];
+  const double dF4 = 1.4142135623730951*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] + 1.2247448713915889*f[3*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] + 1.2247448713915889*f[6*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b] + 1.2247448713915889*f[8*B+b];
+    const double tr3 = 0.70710678118654757*f[4*B+b] + 1.2247448713915889*f[10*B+b];
+    const double tr4 = 0.70710678118654757*f[5*B+b] + 1.2247448713915889*f[11*B+b];
+    const double tr5 = 0.70710678118654757*f[7*B+b] + 1.2247448713915889*f[13*B+b];
+    const double tr6 = 0.70710678118654757*f[9*B+b] + 1.2247448713915889*f[14*B+b];
+    const double tr7 = 0.70710678118654757*f[12*B+b] + 1.2247448713915889*f[15*B+b];
+    const double pV0 = 0.35355339059327412*dF0*tr0 + 0.35355339059327406*dF1*tr1 + 0.35355339059327406*dF2*tr2 + 0.35355339059327395*dF4*tr4;
+    const double pV1 = 0.35355339059327406*dF0*tr1 + 0.35355339059327406*dF1*tr0 + 0.35355339059327395*dF2*tr4 + 0.35355339059327395*dF4*tr2;
+    const double pV2 = 0.35355339059327406*dF0*tr2 + 0.35355339059327395*dF1*tr4 + 0.35355339059327406*dF2*tr0 + 0.35355339059327395*dF4*tr1;
+    const double pV3 = 0.35355339059327401*dF0*tr3 + 0.35355339059327395*dF1*tr5 + 0.35355339059327395*dF2*tr6 + 0.35355339059327384*dF4*tr7;
+    const double pV4 = 0.35355339059327395*dF0*tr4 + 0.35355339059327395*dF1*tr2 + 0.35355339059327395*dF2*tr1 + 0.35355339059327395*dF4*tr0;
+    const double pV5 = 0.35355339059327395*dF0*tr5 + 0.35355339059327395*dF1*tr3 + 0.35355339059327384*dF2*tr7 + 0.35355339059327384*dF4*tr6;
+    const double pV6 = 0.35355339059327395*dF0*tr6 + 0.35355339059327384*dF1*tr7 + 0.35355339059327395*dF2*tr3 + 0.35355339059327384*dF4*tr5;
+    const double pV7 = 0.35355339059327384*dF0*tr7 + 0.35355339059327384*dF1*tr6 + 0.35355339059327384*dF2*tr5 + 0.35355339059327384*dF4*tr3;
+    out[3*B+b] += s2*(-1.2247448713915889*pV0);
+    out[6*B+b] += s2*(-1.2247448713915889*pV1);
+    out[8*B+b] += s2*(-1.2247448713915889*pV2);
+    out[10*B+b] += s2*(-1.2247448713915889*pV3);
+    out[11*B+b] += s2*(-1.2247448713915889*pV4);
+    out[13*B+b] += s2*(-1.2247448713915889*pV5);
+    out[14*B+b] += s2*(-1.2247448713915889*pV6);
+    out[15*B+b] += s2*(-1.2247448713915889*pV7);
+  }
+}
+
+// LBO diffusion surface kernel, velocity direction 1: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_2x2v_p1_ser_lbo_diff_surf1_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.4142135623730951*vtSq[0];
+  const double dF1 = 1.4142135623730951*vtSq[1];
+  const double dF2 = 1.4142135623730951*vtSq[2];
+  const double dF4 = 1.4142135623730951*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double rv0 = 0.35355339059327373*fl[0*B+b] + 0.35355339059327356*fr[0*B+b] + 0.40824829046386302*fl[4*B+b] - 0.40824829046386268*fr[4*B+b];
+    const double rd0 = -1.5909902576697319*fl[0*B+b] + 1.5909902576697319*fr[0*B+b] - 1.5309310892394858*fl[4*B+b] - 1.5309310892394858*fr[4*B+b];
+    const double rv1 = 0.35355339059327373*fl[1*B+b] + 0.35355339059327356*fr[1*B+b] + 0.40824829046386302*fl[7*B+b] - 0.40824829046386268*fr[7*B+b];
+    const double rd1 = -1.5909902576697319*fl[1*B+b] + 1.5909902576697319*fr[1*B+b] - 1.5309310892394858*fl[7*B+b] - 1.5309310892394858*fr[7*B+b];
+    const double rv2 = 0.35355339059327373*fl[2*B+b] + 0.35355339059327356*fr[2*B+b] + 0.40824829046386302*fl[9*B+b] - 0.40824829046386268*fr[9*B+b];
+    const double rd2 = -1.5909902576697319*fl[2*B+b] + 1.5909902576697319*fr[2*B+b] - 1.5309310892394858*fl[9*B+b] - 1.5309310892394858*fr[9*B+b];
+    const double rv3 = 0.35355339059327373*fl[3*B+b] + 0.35355339059327356*fr[3*B+b] + 0.40824829046386302*fl[10*B+b] - 0.40824829046386268*fr[10*B+b];
+    const double rd3 = -1.5909902576697319*fl[3*B+b] + 1.5909902576697319*fr[3*B+b] - 1.5309310892394858*fl[10*B+b] - 1.5309310892394858*fr[10*B+b];
+    const double rv4 = 0.35355339059327373*fl[5*B+b] + 0.35355339059327356*fr[5*B+b] + 0.40824829046386302*fl[12*B+b] - 0.40824829046386268*fr[12*B+b];
+    const double rd4 = -1.5909902576697319*fl[5*B+b] + 1.5909902576697319*fr[5*B+b] - 1.5309310892394858*fl[12*B+b] - 1.5309310892394858*fr[12*B+b];
+    const double rv5 = 0.35355339059327373*fl[6*B+b] + 0.35355339059327356*fr[6*B+b] + 0.40824829046386302*fl[13*B+b] - 0.40824829046386268*fr[13*B+b];
+    const double rd5 = -1.5909902576697319*fl[6*B+b] + 1.5909902576697319*fr[6*B+b] - 1.5309310892394858*fl[13*B+b] - 1.5309310892394858*fr[13*B+b];
+    const double rv6 = 0.35355339059327373*fl[8*B+b] + 0.35355339059327356*fr[8*B+b] + 0.40824829046386302*fl[14*B+b] - 0.40824829046386268*fr[14*B+b];
+    const double rd6 = -1.5909902576697319*fl[8*B+b] + 1.5909902576697319*fr[8*B+b] - 1.5309310892394858*fl[14*B+b] - 1.5309310892394858*fr[14*B+b];
+    const double rv7 = 0.35355339059327373*fl[11*B+b] + 0.35355339059327356*fr[11*B+b] + 0.40824829046386302*fl[15*B+b] - 0.40824829046386268*fr[15*B+b];
+    const double rd7 = -1.5909902576697319*fl[11*B+b] + 1.5909902576697319*fr[11*B+b] - 1.5309310892394858*fl[15*B+b] - 1.5309310892394858*fr[15*B+b];
+    const double pD0 = 0.35355339059327412*dF0*rd0 + 0.35355339059327406*dF1*rd1 + 0.35355339059327406*dF2*rd2 + 0.35355339059327395*dF4*rd4;
+    const double pD1 = 0.35355339059327406*dF0*rd1 + 0.35355339059327406*dF1*rd0 + 0.35355339059327395*dF2*rd4 + 0.35355339059327395*dF4*rd2;
+    const double pD2 = 0.35355339059327406*dF0*rd2 + 0.35355339059327395*dF1*rd4 + 0.35355339059327406*dF2*rd0 + 0.35355339059327395*dF4*rd1;
+    const double pD3 = 0.35355339059327401*dF0*rd3 + 0.35355339059327395*dF1*rd5 + 0.35355339059327395*dF2*rd6 + 0.35355339059327384*dF4*rd7;
+    const double pD4 = 0.35355339059327395*dF0*rd4 + 0.35355339059327395*dF1*rd2 + 0.35355339059327395*dF2*rd1 + 0.35355339059327395*dF4*rd0;
+    const double pD5 = 0.35355339059327395*dF0*rd5 + 0.35355339059327395*dF1*rd3 + 0.35355339059327384*dF2*rd7 + 0.35355339059327384*dF4*rd6;
+    const double pD6 = 0.35355339059327395*dF0*rd6 + 0.35355339059327384*dF1*rd7 + 0.35355339059327395*dF2*rd3 + 0.35355339059327384*dF4*rd5;
+    const double pD7 = 0.35355339059327384*dF0*rd7 + 0.35355339059327384*dF1*rd6 + 0.35355339059327384*dF2*rd5 + 0.35355339059327384*dF4*rd3;
+    const double pV0 = 0.35355339059327412*dF0*rv0 + 0.35355339059327406*dF1*rv1 + 0.35355339059327406*dF2*rv2 + 0.35355339059327395*dF4*rv4;
+    const double pV1 = 0.35355339059327406*dF0*rv1 + 0.35355339059327406*dF1*rv0 + 0.35355339059327395*dF2*rv4 + 0.35355339059327395*dF4*rv2;
+    const double pV2 = 0.35355339059327406*dF0*rv2 + 0.35355339059327395*dF1*rv4 + 0.35355339059327406*dF2*rv0 + 0.35355339059327395*dF4*rv1;
+    const double pV3 = 0.35355339059327401*dF0*rv3 + 0.35355339059327395*dF1*rv5 + 0.35355339059327395*dF2*rv6 + 0.35355339059327384*dF4*rv7;
+    const double pV4 = 0.35355339059327395*dF0*rv4 + 0.35355339059327395*dF1*rv2 + 0.35355339059327395*dF2*rv1 + 0.35355339059327395*dF4*rv0;
+    const double pV5 = 0.35355339059327395*dF0*rv5 + 0.35355339059327395*dF1*rv3 + 0.35355339059327384*dF2*rv7 + 0.35355339059327384*dF4*rv6;
+    const double pV6 = 0.35355339059327395*dF0*rv6 + 0.35355339059327384*dF1*rv7 + 0.35355339059327395*dF2*rv3 + 0.35355339059327384*dF4*rv5;
+    const double pV7 = 0.35355339059327384*dF0*rv7 + 0.35355339059327384*dF1*rv6 + 0.35355339059327384*dF2*rv5 + 0.35355339059327384*dF4*rv3;
+    outl[0*B+b] += s2*(0.35355339059327379*pD0);
+    outr[0*B+b] += s2*(-0.35355339059327379*pD0);
+    outl[1*B+b] += s2*(0.35355339059327379*pD1);
+    outr[1*B+b] += s2*(-0.35355339059327379*pD1);
+    outl[2*B+b] += s2*(0.35355339059327379*pD2);
+    outr[2*B+b] += s2*(-0.35355339059327379*pD2);
+    outl[3*B+b] += s2*(0.35355339059327379*pD3);
+    outr[3*B+b] += s2*(-0.35355339059327379*pD3);
+    outl[4*B+b] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+    outr[4*B+b] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+    outl[5*B+b] += s2*(0.35355339059327379*pD4);
+    outr[5*B+b] += s2*(-0.35355339059327379*pD4);
+    outl[6*B+b] += s2*(0.35355339059327379*pD5);
+    outr[6*B+b] += s2*(-0.35355339059327379*pD5);
+    outl[7*B+b] += s2*(0.61237243569579447*pD1 - 1.2247448713915889*pV1);
+    outr[7*B+b] += s2*(0.61237243569579447*pD1 + 1.2247448713915889*pV1);
+    outl[8*B+b] += s2*(0.35355339059327379*pD6);
+    outr[8*B+b] += s2*(-0.35355339059327379*pD6);
+    outl[9*B+b] += s2*(0.61237243569579447*pD2 - 1.2247448713915889*pV2);
+    outr[9*B+b] += s2*(0.61237243569579447*pD2 + 1.2247448713915889*pV2);
+    outl[10*B+b] += s2*(0.61237243569579447*pD3 - 1.2247448713915889*pV3);
+    outr[10*B+b] += s2*(0.61237243569579447*pD3 + 1.2247448713915889*pV3);
+    outl[11*B+b] += s2*(0.35355339059327379*pD7);
+    outr[11*B+b] += s2*(-0.35355339059327379*pD7);
+    outl[12*B+b] += s2*(0.61237243569579447*pD4 - 1.2247448713915889*pV4);
+    outr[12*B+b] += s2*(0.61237243569579447*pD4 + 1.2247448713915889*pV4);
+    outl[13*B+b] += s2*(0.61237243569579447*pD5 - 1.2247448713915889*pV5);
+    outr[13*B+b] += s2*(0.61237243569579447*pD5 + 1.2247448713915889*pV5);
+    outl[14*B+b] += s2*(0.61237243569579447*pD6 - 1.2247448713915889*pV6);
+    outr[14*B+b] += s2*(0.61237243569579447*pD6 + 1.2247448713915889*pV6);
+    outl[15*B+b] += s2*(0.61237243569579447*pD7 - 1.2247448713915889*pV7);
+    outr[15*B+b] += s2*(0.61237243569579447*pD7 + 1.2247448713915889*pV7);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 1, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_2x2v_p1_ser_lbo_diff_bnd1_lo_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.4142135623730951*vtSq[0];
+  const double dF1 = 1.4142135623730951*vtSq[1];
+  const double dF2 = 1.4142135623730951*vtSq[2];
+  const double dF4 = 1.4142135623730951*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] - 1.2247448713915889*f[4*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] - 1.2247448713915889*f[7*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b] - 1.2247448713915889*f[9*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b] - 1.2247448713915889*f[10*B+b];
+    const double tr4 = 0.70710678118654757*f[5*B+b] - 1.2247448713915889*f[12*B+b];
+    const double tr5 = 0.70710678118654757*f[6*B+b] - 1.2247448713915889*f[13*B+b];
+    const double tr6 = 0.70710678118654757*f[8*B+b] - 1.2247448713915889*f[14*B+b];
+    const double tr7 = 0.70710678118654757*f[11*B+b] - 1.2247448713915889*f[15*B+b];
+    const double pV0 = 0.35355339059327412*dF0*tr0 + 0.35355339059327406*dF1*tr1 + 0.35355339059327406*dF2*tr2 + 0.35355339059327395*dF4*tr4;
+    const double pV1 = 0.35355339059327406*dF0*tr1 + 0.35355339059327406*dF1*tr0 + 0.35355339059327395*dF2*tr4 + 0.35355339059327395*dF4*tr2;
+    const double pV2 = 0.35355339059327406*dF0*tr2 + 0.35355339059327395*dF1*tr4 + 0.35355339059327406*dF2*tr0 + 0.35355339059327395*dF4*tr1;
+    const double pV3 = 0.35355339059327401*dF0*tr3 + 0.35355339059327395*dF1*tr5 + 0.35355339059327395*dF2*tr6 + 0.35355339059327384*dF4*tr7;
+    const double pV4 = 0.35355339059327395*dF0*tr4 + 0.35355339059327395*dF1*tr2 + 0.35355339059327395*dF2*tr1 + 0.35355339059327395*dF4*tr0;
+    const double pV5 = 0.35355339059327395*dF0*tr5 + 0.35355339059327395*dF1*tr3 + 0.35355339059327384*dF2*tr7 + 0.35355339059327384*dF4*tr6;
+    const double pV6 = 0.35355339059327395*dF0*tr6 + 0.35355339059327384*dF1*tr7 + 0.35355339059327395*dF2*tr3 + 0.35355339059327384*dF4*tr5;
+    const double pV7 = 0.35355339059327384*dF0*tr7 + 0.35355339059327384*dF1*tr6 + 0.35355339059327384*dF2*tr5 + 0.35355339059327384*dF4*tr3;
+    out[4*B+b] += s2*(1.2247448713915889*pV0);
+    out[7*B+b] += s2*(1.2247448713915889*pV1);
+    out[9*B+b] += s2*(1.2247448713915889*pV2);
+    out[10*B+b] += s2*(1.2247448713915889*pV3);
+    out[12*B+b] += s2*(1.2247448713915889*pV4);
+    out[13*B+b] += s2*(1.2247448713915889*pV5);
+    out[14*B+b] += s2*(1.2247448713915889*pV6);
+    out[15*B+b] += s2*(1.2247448713915889*pV7);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 1, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_2x2v_p1_ser_lbo_diff_bnd1_up_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 1.4142135623730951*vtSq[0];
+  const double dF1 = 1.4142135623730951*vtSq[1];
+  const double dF2 = 1.4142135623730951*vtSq[2];
+  const double dF4 = 1.4142135623730951*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] + 1.2247448713915889*f[4*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b] + 1.2247448713915889*f[7*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b] + 1.2247448713915889*f[9*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b] + 1.2247448713915889*f[10*B+b];
+    const double tr4 = 0.70710678118654757*f[5*B+b] + 1.2247448713915889*f[12*B+b];
+    const double tr5 = 0.70710678118654757*f[6*B+b] + 1.2247448713915889*f[13*B+b];
+    const double tr6 = 0.70710678118654757*f[8*B+b] + 1.2247448713915889*f[14*B+b];
+    const double tr7 = 0.70710678118654757*f[11*B+b] + 1.2247448713915889*f[15*B+b];
+    const double pV0 = 0.35355339059327412*dF0*tr0 + 0.35355339059327406*dF1*tr1 + 0.35355339059327406*dF2*tr2 + 0.35355339059327395*dF4*tr4;
+    const double pV1 = 0.35355339059327406*dF0*tr1 + 0.35355339059327406*dF1*tr0 + 0.35355339059327395*dF2*tr4 + 0.35355339059327395*dF4*tr2;
+    const double pV2 = 0.35355339059327406*dF0*tr2 + 0.35355339059327395*dF1*tr4 + 0.35355339059327406*dF2*tr0 + 0.35355339059327395*dF4*tr1;
+    const double pV3 = 0.35355339059327401*dF0*tr3 + 0.35355339059327395*dF1*tr5 + 0.35355339059327395*dF2*tr6 + 0.35355339059327384*dF4*tr7;
+    const double pV4 = 0.35355339059327395*dF0*tr4 + 0.35355339059327395*dF1*tr2 + 0.35355339059327395*dF2*tr1 + 0.35355339059327395*dF4*tr0;
+    const double pV5 = 0.35355339059327395*dF0*tr5 + 0.35355339059327395*dF1*tr3 + 0.35355339059327384*dF2*tr7 + 0.35355339059327384*dF4*tr6;
+    const double pV6 = 0.35355339059327395*dF0*tr6 + 0.35355339059327384*dF1*tr7 + 0.35355339059327395*dF2*tr3 + 0.35355339059327384*dF4*tr5;
+    const double pV7 = 0.35355339059327384*dF0*tr7 + 0.35355339059327384*dF1*tr6 + 0.35355339059327384*dF2*tr5 + 0.35355339059327384*dF4*tr3;
+    out[4*B+b] += s2*(-1.2247448713915889*pV0);
+    out[7*B+b] += s2*(-1.2247448713915889*pV1);
+    out[9*B+b] += s2*(-1.2247448713915889*pV2);
+    out[10*B+b] += s2*(-1.2247448713915889*pV3);
+    out[12*B+b] += s2*(-1.2247448713915889*pV4);
+    out[13*B+b] += s2*(-1.2247448713915889*pV5);
+    out[14*B+b] += s2*(-1.2247448713915889*pV6);
+    out[15*B+b] += s2*(-1.2247448713915889*pV7);
+  }
+}
+
 }  // namespace
 
-void registerKernels() {
+__attribute__((cold)) void registerKernels() {
   {
     VlasovBatchedKernels b;
     b.lanes = 4;
@@ -413,6 +752,13 @@ void registerKernels() {
     b.streamSurf[1] = vlasov_2x2v_p1_ser_stream_surf1_bat<4>;
     b.accelSurf[0] = vlasov_2x2v_p1_ser_accel_surf0_bat<4>;
     b.accelSurf[1] = vlasov_2x2v_p1_ser_accel_surf1_bat<4>;
+    b.lbo.diffVol = vlasov_2x2v_p1_ser_lbo_diff_vol_bat<4>;
+    b.lbo.diffSurf[0] = vlasov_2x2v_p1_ser_lbo_diff_surf0_bat<4>;
+    b.lbo.diffBound[0][0] = vlasov_2x2v_p1_ser_lbo_diff_bnd0_lo_bat<4>;
+    b.lbo.diffBound[0][1] = vlasov_2x2v_p1_ser_lbo_diff_bnd0_up_bat<4>;
+    b.lbo.diffSurf[1] = vlasov_2x2v_p1_ser_lbo_diff_surf1_bat<4>;
+    b.lbo.diffBound[1][0] = vlasov_2x2v_p1_ser_lbo_diff_bnd1_lo_bat<4>;
+    b.lbo.diffBound[1][1] = vlasov_2x2v_p1_ser_lbo_diff_bnd1_up_bat<4>;
     registerBatchedKernels("2x2v_p1_ser", b);
   }
   {
@@ -424,6 +770,13 @@ void registerKernels() {
     b.streamSurf[1] = vlasov_2x2v_p1_ser_stream_surf1_bat<8>;
     b.accelSurf[0] = vlasov_2x2v_p1_ser_accel_surf0_bat<8>;
     b.accelSurf[1] = vlasov_2x2v_p1_ser_accel_surf1_bat<8>;
+    b.lbo.diffVol = vlasov_2x2v_p1_ser_lbo_diff_vol_bat<8>;
+    b.lbo.diffSurf[0] = vlasov_2x2v_p1_ser_lbo_diff_surf0_bat<8>;
+    b.lbo.diffBound[0][0] = vlasov_2x2v_p1_ser_lbo_diff_bnd0_lo_bat<8>;
+    b.lbo.diffBound[0][1] = vlasov_2x2v_p1_ser_lbo_diff_bnd0_up_bat<8>;
+    b.lbo.diffSurf[1] = vlasov_2x2v_p1_ser_lbo_diff_surf1_bat<8>;
+    b.lbo.diffBound[1][0] = vlasov_2x2v_p1_ser_lbo_diff_bnd1_lo_bat<8>;
+    b.lbo.diffBound[1][1] = vlasov_2x2v_p1_ser_lbo_diff_bnd1_up_bat<8>;
     registerBatchedKernels("2x2v_p1_ser", b);
   }
 }

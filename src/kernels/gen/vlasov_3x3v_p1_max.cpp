@@ -1,8 +1,9 @@
 // ============================================================================
 // AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.
-// Exact (alias-free) modal DG Vlasov kernels for the 3x3v_p1_max basis,
-// rendered from the symbolically integrated sparse tensors with all
-// constants folded to double precision (the paper's Maxima-CAS workflow).
+// Exact (alias-free) modal DG Vlasov and LBO-diffusion kernels for the
+// 3x3v_p1_max basis, rendered from the symbolically integrated sparse
+// tensors with all constants folded to double precision (the paper's
+// Maxima-CAS workflow).
 // Regenerate with: gen_kernels <output-dir>
 // ============================================================================
 // clang-format off
@@ -342,7 +343,254 @@ void vlasov_3x3v_p1_max_accel_surf2(const double* dxv, const double* al, const d
   outr[6] += rdx2*-1.2247448713915889*fhat0;
 }
 
-void registerKernels() {
+static // LBO diffusion volume kernel: exact DG volume integral of the twice
+// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,
+// with D = vtSq the configuration-space vth^2 expansion (4 coefficients).
+void vlasov_3x3v_p1_max_lbo_diff_vol(const double* dxv, const double* vtSq, const double* f, double* out) {
+  (void)dxv; (void)vtSq; (void)f; (void)out;
+}
+
+static // LBO diffusion surface kernel, velocity direction 0: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+void vlasov_3x3v_p1_max_lbo_diff_surf0(const double* dxv, const double* vtSq, const double* fl, const double* fr, double* outl, double* outr) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double rv0 = 0.35355339059327373*fl[0] + 0.35355339059327356*fr[0] + 0.40824829046386302*fl[4] - 0.40824829046386268*fr[4];
+  const double rd0 = -1.5909902576697319*fl[0] + 1.5909902576697319*fr[0] - 1.5309310892394858*fl[4] - 1.5309310892394858*fr[4];
+  const double rv1 = 0.35355339059327373*fl[1] + 0.35355339059327356*fr[1];
+  const double rd1 = -1.5909902576697319*fl[1] + 1.5909902576697319*fr[1];
+  const double rv2 = 0.35355339059327373*fl[2] + 0.35355339059327356*fr[2];
+  const double rd2 = -1.5909902576697319*fl[2] + 1.5909902576697319*fr[2];
+  const double rv3 = 0.35355339059327373*fl[3] + 0.35355339059327356*fr[3];
+  const double rd3 = -1.5909902576697319*fl[3] + 1.5909902576697319*fr[3];
+  const double rd4 = -1.5909902576697319*fl[5] + 1.5909902576697319*fr[5];
+  const double rd5 = -1.5909902576697319*fl[6] + 1.5909902576697319*fr[6];
+  const double pD0 = 0.17677669529663717*dF0*rd0 + 0.17677669529663717*dF1*rd1 + 0.17677669529663717*dF2*rd2 + 0.17677669529663714*dF3*rd3;
+  const double pD1 = 0.17677669529663717*dF0*rd1 + 0.17677669529663717*dF1*rd0;
+  const double pD2 = 0.17677669529663717*dF0*rd2 + 0.17677669529663717*dF2*rd0;
+  const double pD3 = 0.17677669529663714*dF0*rd3 + 0.17677669529663714*dF3*rd0;
+  const double pD4 = 0.17677669529663714*dF0*rd4;
+  const double pD5 = 0.17677669529663712*dF0*rd5;
+  const double pV0 = 0.17677669529663717*dF0*rv0 + 0.17677669529663717*dF1*rv1 + 0.17677669529663717*dF2*rv2 + 0.17677669529663714*dF3*rv3;
+  outl[0] += s2*(0.35355339059327379*pD0);
+  outr[0] += s2*(-0.35355339059327379*pD0);
+  outl[1] += s2*(0.35355339059327379*pD1);
+  outr[1] += s2*(-0.35355339059327379*pD1);
+  outl[2] += s2*(0.35355339059327379*pD2);
+  outr[2] += s2*(-0.35355339059327379*pD2);
+  outl[3] += s2*(0.35355339059327379*pD3);
+  outr[3] += s2*(-0.35355339059327379*pD3);
+  outl[4] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+  outr[4] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+  outl[5] += s2*(0.35355339059327379*pD4);
+  outr[5] += s2*(-0.35355339059327379*pD4);
+  outl[6] += s2*(0.35355339059327379*pD5);
+  outr[6] += s2*(-0.35355339059327379*pD5);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 0, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_3x3v_p1_max_lbo_diff_bnd0_lo(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] - 1.2247448713915889*f[4];
+  const double tr1 = 0.70710678118654757*f[1];
+  const double tr2 = 0.70710678118654757*f[2];
+  const double tr3 = 0.70710678118654757*f[3];
+  const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+  out[4] += s2*(1.2247448713915889*pV0);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 0, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_3x3v_p1_max_lbo_diff_bnd0_up(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] + 1.2247448713915889*f[4];
+  const double tr1 = 0.70710678118654757*f[1];
+  const double tr2 = 0.70710678118654757*f[2];
+  const double tr3 = 0.70710678118654757*f[3];
+  const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+  out[4] += s2*(-1.2247448713915889*pV0);
+}
+
+static // LBO diffusion surface kernel, velocity direction 1: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+void vlasov_3x3v_p1_max_lbo_diff_surf1(const double* dxv, const double* vtSq, const double* fl, const double* fr, double* outl, double* outr) {
+  const double rdx2 = 2.0/dxv[4];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double rv0 = 0.35355339059327373*fl[0] + 0.35355339059327356*fr[0] + 0.40824829046386302*fl[5] - 0.40824829046386268*fr[5];
+  const double rd0 = -1.5909902576697319*fl[0] + 1.5909902576697319*fr[0] - 1.5309310892394858*fl[5] - 1.5309310892394858*fr[5];
+  const double rv1 = 0.35355339059327373*fl[1] + 0.35355339059327356*fr[1];
+  const double rd1 = -1.5909902576697319*fl[1] + 1.5909902576697319*fr[1];
+  const double rv2 = 0.35355339059327373*fl[2] + 0.35355339059327356*fr[2];
+  const double rd2 = -1.5909902576697319*fl[2] + 1.5909902576697319*fr[2];
+  const double rv3 = 0.35355339059327373*fl[3] + 0.35355339059327356*fr[3];
+  const double rd3 = -1.5909902576697319*fl[3] + 1.5909902576697319*fr[3];
+  const double rd4 = -1.5909902576697319*fl[4] + 1.5909902576697319*fr[4];
+  const double rd5 = -1.5909902576697319*fl[6] + 1.5909902576697319*fr[6];
+  const double pD0 = 0.17677669529663717*dF0*rd0 + 0.17677669529663717*dF1*rd1 + 0.17677669529663717*dF2*rd2 + 0.17677669529663714*dF3*rd3;
+  const double pD1 = 0.17677669529663717*dF0*rd1 + 0.17677669529663717*dF1*rd0;
+  const double pD2 = 0.17677669529663717*dF0*rd2 + 0.17677669529663717*dF2*rd0;
+  const double pD3 = 0.17677669529663714*dF0*rd3 + 0.17677669529663714*dF3*rd0;
+  const double pD4 = 0.17677669529663714*dF0*rd4;
+  const double pD5 = 0.17677669529663712*dF0*rd5;
+  const double pV0 = 0.17677669529663717*dF0*rv0 + 0.17677669529663717*dF1*rv1 + 0.17677669529663717*dF2*rv2 + 0.17677669529663714*dF3*rv3;
+  outl[0] += s2*(0.35355339059327379*pD0);
+  outr[0] += s2*(-0.35355339059327379*pD0);
+  outl[1] += s2*(0.35355339059327379*pD1);
+  outr[1] += s2*(-0.35355339059327379*pD1);
+  outl[2] += s2*(0.35355339059327379*pD2);
+  outr[2] += s2*(-0.35355339059327379*pD2);
+  outl[3] += s2*(0.35355339059327379*pD3);
+  outr[3] += s2*(-0.35355339059327379*pD3);
+  outl[4] += s2*(0.35355339059327379*pD4);
+  outr[4] += s2*(-0.35355339059327379*pD4);
+  outl[5] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+  outr[5] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+  outl[6] += s2*(0.35355339059327379*pD5);
+  outr[6] += s2*(-0.35355339059327379*pD5);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 1, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_3x3v_p1_max_lbo_diff_bnd1_lo(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[4];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] - 1.2247448713915889*f[5];
+  const double tr1 = 0.70710678118654757*f[1];
+  const double tr2 = 0.70710678118654757*f[2];
+  const double tr3 = 0.70710678118654757*f[3];
+  const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+  out[5] += s2*(1.2247448713915889*pV0);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 1, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_3x3v_p1_max_lbo_diff_bnd1_up(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[4];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] + 1.2247448713915889*f[5];
+  const double tr1 = 0.70710678118654757*f[1];
+  const double tr2 = 0.70710678118654757*f[2];
+  const double tr3 = 0.70710678118654757*f[3];
+  const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+  out[5] += s2*(-1.2247448713915889*pV0);
+}
+
+static // LBO diffusion surface kernel, velocity direction 2: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+void vlasov_3x3v_p1_max_lbo_diff_surf2(const double* dxv, const double* vtSq, const double* fl, const double* fr, double* outl, double* outr) {
+  const double rdx2 = 2.0/dxv[5];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double rv0 = 0.35355339059327373*fl[0] + 0.35355339059327356*fr[0] + 0.40824829046386302*fl[6] - 0.40824829046386268*fr[6];
+  const double rd0 = -1.5909902576697319*fl[0] + 1.5909902576697319*fr[0] - 1.5309310892394858*fl[6] - 1.5309310892394858*fr[6];
+  const double rv1 = 0.35355339059327373*fl[1] + 0.35355339059327356*fr[1];
+  const double rd1 = -1.5909902576697319*fl[1] + 1.5909902576697319*fr[1];
+  const double rv2 = 0.35355339059327373*fl[2] + 0.35355339059327356*fr[2];
+  const double rd2 = -1.5909902576697319*fl[2] + 1.5909902576697319*fr[2];
+  const double rv3 = 0.35355339059327373*fl[3] + 0.35355339059327356*fr[3];
+  const double rd3 = -1.5909902576697319*fl[3] + 1.5909902576697319*fr[3];
+  const double rd4 = -1.5909902576697319*fl[4] + 1.5909902576697319*fr[4];
+  const double rd5 = -1.5909902576697319*fl[5] + 1.5909902576697319*fr[5];
+  const double pD0 = 0.17677669529663717*dF0*rd0 + 0.17677669529663717*dF1*rd1 + 0.17677669529663717*dF2*rd2 + 0.17677669529663714*dF3*rd3;
+  const double pD1 = 0.17677669529663717*dF0*rd1 + 0.17677669529663717*dF1*rd0;
+  const double pD2 = 0.17677669529663717*dF0*rd2 + 0.17677669529663717*dF2*rd0;
+  const double pD3 = 0.17677669529663714*dF0*rd3 + 0.17677669529663714*dF3*rd0;
+  const double pD4 = 0.17677669529663714*dF0*rd4;
+  const double pD5 = 0.17677669529663712*dF0*rd5;
+  const double pV0 = 0.17677669529663717*dF0*rv0 + 0.17677669529663717*dF1*rv1 + 0.17677669529663717*dF2*rv2 + 0.17677669529663714*dF3*rv3;
+  outl[0] += s2*(0.35355339059327379*pD0);
+  outr[0] += s2*(-0.35355339059327379*pD0);
+  outl[1] += s2*(0.35355339059327379*pD1);
+  outr[1] += s2*(-0.35355339059327379*pD1);
+  outl[2] += s2*(0.35355339059327379*pD2);
+  outr[2] += s2*(-0.35355339059327379*pD2);
+  outl[3] += s2*(0.35355339059327379*pD3);
+  outr[3] += s2*(-0.35355339059327379*pD3);
+  outl[4] += s2*(0.35355339059327379*pD4);
+  outr[4] += s2*(-0.35355339059327379*pD4);
+  outl[5] += s2*(0.35355339059327379*pD5);
+  outr[5] += s2*(-0.35355339059327379*pD5);
+  outl[6] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+  outr[6] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 2, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_3x3v_p1_max_lbo_diff_bnd2_lo(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[5];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] - 1.2247448713915889*f[6];
+  const double tr1 = 0.70710678118654757*f[1];
+  const double tr2 = 0.70710678118654757*f[2];
+  const double tr3 = 0.70710678118654757*f[3];
+  const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+  out[6] += s2*(1.2247448713915889*pV0);
+}
+
+static // LBO diffusion boundary kernel, velocity direction 2, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+void vlasov_3x3v_p1_max_lbo_diff_bnd2_up(const double* dxv, const double* vtSq, const double* f, double* out) {
+  const double rdx2 = 2.0/dxv[5];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  const double tr0 = 0.70710678118654757*f[0] + 1.2247448713915889*f[6];
+  const double tr1 = 0.70710678118654757*f[1];
+  const double tr2 = 0.70710678118654757*f[2];
+  const double tr3 = 0.70710678118654757*f[3];
+  const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+  out[6] += s2*(-1.2247448713915889*pV0);
+}
+
+__attribute__((cold)) void registerKernels() {
   VlasovCompiledKernels k;
   k.numPhaseModes = 7;
   k.streamVol = vlasov_3x3v_p1_max_stream_vol;
@@ -353,6 +601,16 @@ void registerKernels() {
   k.accelSurf[0] = vlasov_3x3v_p1_max_accel_surf0;
   k.accelSurf[1] = vlasov_3x3v_p1_max_accel_surf1;
   k.accelSurf[2] = vlasov_3x3v_p1_max_accel_surf2;
+  k.lbo.diffVol = vlasov_3x3v_p1_max_lbo_diff_vol;
+  k.lbo.diffSurf[0] = vlasov_3x3v_p1_max_lbo_diff_surf0;
+  k.lbo.diffBound[0][0] = vlasov_3x3v_p1_max_lbo_diff_bnd0_lo;
+  k.lbo.diffBound[0][1] = vlasov_3x3v_p1_max_lbo_diff_bnd0_up;
+  k.lbo.diffSurf[1] = vlasov_3x3v_p1_max_lbo_diff_surf1;
+  k.lbo.diffBound[1][0] = vlasov_3x3v_p1_max_lbo_diff_bnd1_lo;
+  k.lbo.diffBound[1][1] = vlasov_3x3v_p1_max_lbo_diff_bnd1_up;
+  k.lbo.diffSurf[2] = vlasov_3x3v_p1_max_lbo_diff_surf2;
+  k.lbo.diffBound[2][0] = vlasov_3x3v_p1_max_lbo_diff_bnd2_lo;
+  k.lbo.diffBound[2][1] = vlasov_3x3v_p1_max_lbo_diff_bnd2_up;
   registerCompiledKernels("3x3v_p1_max", k);
 }
 

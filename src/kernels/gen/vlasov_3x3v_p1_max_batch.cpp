@@ -1,6 +1,7 @@
 // ============================================================================
 // AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.
-// SIMD-batched (AoSoA) modal DG Vlasov kernels for the 3x3v_p1_max basis:
+// SIMD-batched (AoSoA) modal DG Vlasov and LBO-diffusion kernels for the
+// 3x3v_p1_max basis:
 // the scalar kernels of vlasov_3x3v_p1_max.cpp with the cell index turned
 // into an inner lane loop over a block of B cells (mode-major, lane-minor
 // layout, element i of lane b at [i*B+b]) so the compiler autovectorizes
@@ -379,9 +380,304 @@ void vlasov_3x3v_p1_max_accel_surf2_bat(const double* __restrict dxv, const doub
   }
 }
 
+// LBO diffusion volume kernel: exact DG volume integral of the twice
+// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,
+// with D = vtSq the configuration-space vth^2 expansion (4 coefficients).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_vol_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  (void)dxv; (void)vtSq; (void)f; (void)out;
+}
+
+// LBO diffusion surface kernel, velocity direction 0: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_surf0_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double rv0 = 0.35355339059327373*fl[0*B+b] + 0.35355339059327356*fr[0*B+b] + 0.40824829046386302*fl[4*B+b] - 0.40824829046386268*fr[4*B+b];
+    const double rd0 = -1.5909902576697319*fl[0*B+b] + 1.5909902576697319*fr[0*B+b] - 1.5309310892394858*fl[4*B+b] - 1.5309310892394858*fr[4*B+b];
+    const double rv1 = 0.35355339059327373*fl[1*B+b] + 0.35355339059327356*fr[1*B+b];
+    const double rd1 = -1.5909902576697319*fl[1*B+b] + 1.5909902576697319*fr[1*B+b];
+    const double rv2 = 0.35355339059327373*fl[2*B+b] + 0.35355339059327356*fr[2*B+b];
+    const double rd2 = -1.5909902576697319*fl[2*B+b] + 1.5909902576697319*fr[2*B+b];
+    const double rv3 = 0.35355339059327373*fl[3*B+b] + 0.35355339059327356*fr[3*B+b];
+    const double rd3 = -1.5909902576697319*fl[3*B+b] + 1.5909902576697319*fr[3*B+b];
+    const double rd4 = -1.5909902576697319*fl[5*B+b] + 1.5909902576697319*fr[5*B+b];
+    const double rd5 = -1.5909902576697319*fl[6*B+b] + 1.5909902576697319*fr[6*B+b];
+    const double pD0 = 0.17677669529663717*dF0*rd0 + 0.17677669529663717*dF1*rd1 + 0.17677669529663717*dF2*rd2 + 0.17677669529663714*dF3*rd3;
+    const double pD1 = 0.17677669529663717*dF0*rd1 + 0.17677669529663717*dF1*rd0;
+    const double pD2 = 0.17677669529663717*dF0*rd2 + 0.17677669529663717*dF2*rd0;
+    const double pD3 = 0.17677669529663714*dF0*rd3 + 0.17677669529663714*dF3*rd0;
+    const double pD4 = 0.17677669529663714*dF0*rd4;
+    const double pD5 = 0.17677669529663712*dF0*rd5;
+    const double pV0 = 0.17677669529663717*dF0*rv0 + 0.17677669529663717*dF1*rv1 + 0.17677669529663717*dF2*rv2 + 0.17677669529663714*dF3*rv3;
+    outl[0*B+b] += s2*(0.35355339059327379*pD0);
+    outr[0*B+b] += s2*(-0.35355339059327379*pD0);
+    outl[1*B+b] += s2*(0.35355339059327379*pD1);
+    outr[1*B+b] += s2*(-0.35355339059327379*pD1);
+    outl[2*B+b] += s2*(0.35355339059327379*pD2);
+    outr[2*B+b] += s2*(-0.35355339059327379*pD2);
+    outl[3*B+b] += s2*(0.35355339059327379*pD3);
+    outr[3*B+b] += s2*(-0.35355339059327379*pD3);
+    outl[4*B+b] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+    outr[4*B+b] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+    outl[5*B+b] += s2*(0.35355339059327379*pD4);
+    outr[5*B+b] += s2*(-0.35355339059327379*pD4);
+    outl[6*B+b] += s2*(0.35355339059327379*pD5);
+    outr[6*B+b] += s2*(-0.35355339059327379*pD5);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_bnd0_lo_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] - 1.2247448713915889*f[4*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b];
+    const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+    out[4*B+b] += s2*(1.2247448713915889*pV0);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 0, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_bnd0_up_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[3];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] + 1.2247448713915889*f[4*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b];
+    const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+    out[4*B+b] += s2*(-1.2247448713915889*pV0);
+  }
+}
+
+// LBO diffusion surface kernel, velocity direction 1: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_surf1_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
+  const double rdx2 = 2.0/dxv[4];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double rv0 = 0.35355339059327373*fl[0*B+b] + 0.35355339059327356*fr[0*B+b] + 0.40824829046386302*fl[5*B+b] - 0.40824829046386268*fr[5*B+b];
+    const double rd0 = -1.5909902576697319*fl[0*B+b] + 1.5909902576697319*fr[0*B+b] - 1.5309310892394858*fl[5*B+b] - 1.5309310892394858*fr[5*B+b];
+    const double rv1 = 0.35355339059327373*fl[1*B+b] + 0.35355339059327356*fr[1*B+b];
+    const double rd1 = -1.5909902576697319*fl[1*B+b] + 1.5909902576697319*fr[1*B+b];
+    const double rv2 = 0.35355339059327373*fl[2*B+b] + 0.35355339059327356*fr[2*B+b];
+    const double rd2 = -1.5909902576697319*fl[2*B+b] + 1.5909902576697319*fr[2*B+b];
+    const double rv3 = 0.35355339059327373*fl[3*B+b] + 0.35355339059327356*fr[3*B+b];
+    const double rd3 = -1.5909902576697319*fl[3*B+b] + 1.5909902576697319*fr[3*B+b];
+    const double rd4 = -1.5909902576697319*fl[4*B+b] + 1.5909902576697319*fr[4*B+b];
+    const double rd5 = -1.5909902576697319*fl[6*B+b] + 1.5909902576697319*fr[6*B+b];
+    const double pD0 = 0.17677669529663717*dF0*rd0 + 0.17677669529663717*dF1*rd1 + 0.17677669529663717*dF2*rd2 + 0.17677669529663714*dF3*rd3;
+    const double pD1 = 0.17677669529663717*dF0*rd1 + 0.17677669529663717*dF1*rd0;
+    const double pD2 = 0.17677669529663717*dF0*rd2 + 0.17677669529663717*dF2*rd0;
+    const double pD3 = 0.17677669529663714*dF0*rd3 + 0.17677669529663714*dF3*rd0;
+    const double pD4 = 0.17677669529663714*dF0*rd4;
+    const double pD5 = 0.17677669529663712*dF0*rd5;
+    const double pV0 = 0.17677669529663717*dF0*rv0 + 0.17677669529663717*dF1*rv1 + 0.17677669529663717*dF2*rv2 + 0.17677669529663714*dF3*rv3;
+    outl[0*B+b] += s2*(0.35355339059327379*pD0);
+    outr[0*B+b] += s2*(-0.35355339059327379*pD0);
+    outl[1*B+b] += s2*(0.35355339059327379*pD1);
+    outr[1*B+b] += s2*(-0.35355339059327379*pD1);
+    outl[2*B+b] += s2*(0.35355339059327379*pD2);
+    outr[2*B+b] += s2*(-0.35355339059327379*pD2);
+    outl[3*B+b] += s2*(0.35355339059327379*pD3);
+    outr[3*B+b] += s2*(-0.35355339059327379*pD3);
+    outl[4*B+b] += s2*(0.35355339059327379*pD4);
+    outr[4*B+b] += s2*(-0.35355339059327379*pD4);
+    outl[5*B+b] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+    outr[5*B+b] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+    outl[6*B+b] += s2*(0.35355339059327379*pD5);
+    outr[6*B+b] += s2*(-0.35355339059327379*pD5);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 1, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_bnd1_lo_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[4];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] - 1.2247448713915889*f[5*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b];
+    const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+    out[5*B+b] += s2*(1.2247448713915889*pV0);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 1, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_bnd1_up_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[4];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] + 1.2247448713915889*f[5*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b];
+    const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+    out[5*B+b] += s2*(-1.2247448713915889*pV0);
+  }
+}
+
+// LBO diffusion surface kernel, velocity direction 2: the recovery
+// polynomial of the two cells sharing the face gives the interface value rv
+// and slope rd; the flux term [w D df/deta] and the value term
+// -[dw/deta D f] are lifted into both cells (fl: lower cell, fr: upper).
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_surf2_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict fl, const double* __restrict fr, double* __restrict outl, double* __restrict outr) {
+  const double rdx2 = 2.0/dxv[5];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double rv0 = 0.35355339059327373*fl[0*B+b] + 0.35355339059327356*fr[0*B+b] + 0.40824829046386302*fl[6*B+b] - 0.40824829046386268*fr[6*B+b];
+    const double rd0 = -1.5909902576697319*fl[0*B+b] + 1.5909902576697319*fr[0*B+b] - 1.5309310892394858*fl[6*B+b] - 1.5309310892394858*fr[6*B+b];
+    const double rv1 = 0.35355339059327373*fl[1*B+b] + 0.35355339059327356*fr[1*B+b];
+    const double rd1 = -1.5909902576697319*fl[1*B+b] + 1.5909902576697319*fr[1*B+b];
+    const double rv2 = 0.35355339059327373*fl[2*B+b] + 0.35355339059327356*fr[2*B+b];
+    const double rd2 = -1.5909902576697319*fl[2*B+b] + 1.5909902576697319*fr[2*B+b];
+    const double rv3 = 0.35355339059327373*fl[3*B+b] + 0.35355339059327356*fr[3*B+b];
+    const double rd3 = -1.5909902576697319*fl[3*B+b] + 1.5909902576697319*fr[3*B+b];
+    const double rd4 = -1.5909902576697319*fl[4*B+b] + 1.5909902576697319*fr[4*B+b];
+    const double rd5 = -1.5909902576697319*fl[5*B+b] + 1.5909902576697319*fr[5*B+b];
+    const double pD0 = 0.17677669529663717*dF0*rd0 + 0.17677669529663717*dF1*rd1 + 0.17677669529663717*dF2*rd2 + 0.17677669529663714*dF3*rd3;
+    const double pD1 = 0.17677669529663717*dF0*rd1 + 0.17677669529663717*dF1*rd0;
+    const double pD2 = 0.17677669529663717*dF0*rd2 + 0.17677669529663717*dF2*rd0;
+    const double pD3 = 0.17677669529663714*dF0*rd3 + 0.17677669529663714*dF3*rd0;
+    const double pD4 = 0.17677669529663714*dF0*rd4;
+    const double pD5 = 0.17677669529663712*dF0*rd5;
+    const double pV0 = 0.17677669529663717*dF0*rv0 + 0.17677669529663717*dF1*rv1 + 0.17677669529663717*dF2*rv2 + 0.17677669529663714*dF3*rv3;
+    outl[0*B+b] += s2*(0.35355339059327379*pD0);
+    outr[0*B+b] += s2*(-0.35355339059327379*pD0);
+    outl[1*B+b] += s2*(0.35355339059327379*pD1);
+    outr[1*B+b] += s2*(-0.35355339059327379*pD1);
+    outl[2*B+b] += s2*(0.35355339059327379*pD2);
+    outr[2*B+b] += s2*(-0.35355339059327379*pD2);
+    outl[3*B+b] += s2*(0.35355339059327379*pD3);
+    outr[3*B+b] += s2*(-0.35355339059327379*pD3);
+    outl[4*B+b] += s2*(0.35355339059327379*pD4);
+    outr[4*B+b] += s2*(-0.35355339059327379*pD4);
+    outl[5*B+b] += s2*(0.35355339059327379*pD5);
+    outr[5*B+b] += s2*(-0.35355339059327379*pD5);
+    outl[6*B+b] += s2*(0.61237243569579447*pD0 - 1.2247448713915889*pV0);
+    outr[6*B+b] += s2*(0.61237243569579447*pD0 + 1.2247448713915889*pV0);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 2, lower domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_bnd2_lo_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[5];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] - 1.2247448713915889*f[6*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b];
+    const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+    out[6*B+b] += s2*(1.2247448713915889*pV0);
+  }
+}
+
+// LBO diffusion boundary kernel, velocity direction 2, upper domain face:
+// zero-flux closure. The flux term is dropped; the value term uses the
+// one-sided trace of the boundary cell f.
+// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is
+// shared by every lane (one configuration cell per block).
+template <int B>
+void vlasov_3x3v_p1_max_lbo_diff_bnd2_up_bat(const double* __restrict dxv, const double* __restrict vtSq, const double* __restrict f, double* __restrict out) {
+  const double rdx2 = 2.0/dxv[5];
+  const double s2 = rdx2*rdx2;
+  const double dF0 = 2.0000000000000004*vtSq[0];
+  const double dF1 = 2.0000000000000004*vtSq[1];
+  const double dF2 = 2.0000000000000004*vtSq[2];
+  const double dF3 = 2.0000000000000004*vtSq[3];
+  for (int b = 0; b < B; ++b) {
+    const double tr0 = 0.70710678118654757*f[0*B+b] + 1.2247448713915889*f[6*B+b];
+    const double tr1 = 0.70710678118654757*f[1*B+b];
+    const double tr2 = 0.70710678118654757*f[2*B+b];
+    const double tr3 = 0.70710678118654757*f[3*B+b];
+    const double pV0 = 0.17677669529663717*dF0*tr0 + 0.17677669529663717*dF1*tr1 + 0.17677669529663717*dF2*tr2 + 0.17677669529663714*dF3*tr3;
+    out[6*B+b] += s2*(-1.2247448713915889*pV0);
+  }
+}
+
 }  // namespace
 
-void registerKernels() {
+__attribute__((cold)) void registerKernels() {
   {
     VlasovBatchedKernels b;
     b.lanes = 4;
@@ -393,6 +689,16 @@ void registerKernels() {
     b.accelSurf[0] = vlasov_3x3v_p1_max_accel_surf0_bat<4>;
     b.accelSurf[1] = vlasov_3x3v_p1_max_accel_surf1_bat<4>;
     b.accelSurf[2] = vlasov_3x3v_p1_max_accel_surf2_bat<4>;
+    b.lbo.diffVol = vlasov_3x3v_p1_max_lbo_diff_vol_bat<4>;
+    b.lbo.diffSurf[0] = vlasov_3x3v_p1_max_lbo_diff_surf0_bat<4>;
+    b.lbo.diffBound[0][0] = vlasov_3x3v_p1_max_lbo_diff_bnd0_lo_bat<4>;
+    b.lbo.diffBound[0][1] = vlasov_3x3v_p1_max_lbo_diff_bnd0_up_bat<4>;
+    b.lbo.diffSurf[1] = vlasov_3x3v_p1_max_lbo_diff_surf1_bat<4>;
+    b.lbo.diffBound[1][0] = vlasov_3x3v_p1_max_lbo_diff_bnd1_lo_bat<4>;
+    b.lbo.diffBound[1][1] = vlasov_3x3v_p1_max_lbo_diff_bnd1_up_bat<4>;
+    b.lbo.diffSurf[2] = vlasov_3x3v_p1_max_lbo_diff_surf2_bat<4>;
+    b.lbo.diffBound[2][0] = vlasov_3x3v_p1_max_lbo_diff_bnd2_lo_bat<4>;
+    b.lbo.diffBound[2][1] = vlasov_3x3v_p1_max_lbo_diff_bnd2_up_bat<4>;
     registerBatchedKernels("3x3v_p1_max", b);
   }
   {
@@ -406,6 +712,16 @@ void registerKernels() {
     b.accelSurf[0] = vlasov_3x3v_p1_max_accel_surf0_bat<8>;
     b.accelSurf[1] = vlasov_3x3v_p1_max_accel_surf1_bat<8>;
     b.accelSurf[2] = vlasov_3x3v_p1_max_accel_surf2_bat<8>;
+    b.lbo.diffVol = vlasov_3x3v_p1_max_lbo_diff_vol_bat<8>;
+    b.lbo.diffSurf[0] = vlasov_3x3v_p1_max_lbo_diff_surf0_bat<8>;
+    b.lbo.diffBound[0][0] = vlasov_3x3v_p1_max_lbo_diff_bnd0_lo_bat<8>;
+    b.lbo.diffBound[0][1] = vlasov_3x3v_p1_max_lbo_diff_bnd0_up_bat<8>;
+    b.lbo.diffSurf[1] = vlasov_3x3v_p1_max_lbo_diff_surf1_bat<8>;
+    b.lbo.diffBound[1][0] = vlasov_3x3v_p1_max_lbo_diff_bnd1_lo_bat<8>;
+    b.lbo.diffBound[1][1] = vlasov_3x3v_p1_max_lbo_diff_bnd1_up_bat<8>;
+    b.lbo.diffSurf[2] = vlasov_3x3v_p1_max_lbo_diff_surf2_bat<8>;
+    b.lbo.diffBound[2][0] = vlasov_3x3v_p1_max_lbo_diff_bnd2_lo_bat<8>;
+    b.lbo.diffBound[2][1] = vlasov_3x3v_p1_max_lbo_diff_bnd2_up_bat<8>;
     registerBatchedKernels("3x3v_p1_max", b);
   }
 }

@@ -1,11 +1,12 @@
 #pragma once
-// Registry of pre-generated (CAS-emitted, compiled) Vlasov kernels.
+// Registry of pre-generated (CAS-emitted, compiled) Vlasov and LBO kernels.
 //
 // Generated translation units in kernels/gen/ register themselves here at
-// static-initialization time; VlasovUpdater queries the registry by basis
-// spec name and uses the compiled kernels as a fast path (falling back to
-// sparse-tape execution for specs without generated code, and always for
-// central fluxes — the generated surface kernels bake in the penalty flux).
+// static-initialization time; VlasovUpdater and LboUpdater query the
+// registry by basis spec name and use the compiled kernels as a fast path
+// (falling back to sparse-tape execution for specs without generated code,
+// and, for Vlasov, always for central fluxes — the generated surface
+// kernels bake in the penalty flux).
 //
 // Each spec may additionally carry SIMD-batched kernel variants (emitted
 // into the sibling *_batch.cpp translation units): the same contractions
@@ -23,6 +24,28 @@ namespace vdg {
 /// Lane counts the generator emits batched kernel variants for.
 inline constexpr int kKernelBatchLanes[] = {4, 8};
 inline constexpr int kNumKernelBatchLanes = 2;
+
+/// The diffusion kernels of the LBO collision operator (collisions/lbo.hpp;
+/// its drag term runs through the acceleration kernels). `vtSq` is the
+/// configuration-space vth^2 expansion of one configuration cell, in plain
+/// (not lane-blocked) layout even in batched sets: every velocity cell of
+/// the block shares it.
+struct LboDiffusionKernels {
+  using VolFn = void (*)(const double* dxv, const double* vtSq, const double* f, double* out);
+  using SurfFn = void (*)(const double* dxv, const double* vtSq, const double* fl,
+                          const double* fr, double* outl, double* outr);
+
+  VolFn diffVol = nullptr;
+  SurfFn diffSurf[3] = {nullptr, nullptr, nullptr};  ///< interior faces, per velocity dir
+  VolFn diffBound[3][2] = {};  ///< zero-flux domain faces: [j][0] lower, [j][1] upper
+
+  [[nodiscard]] bool complete(int vdim) const {
+    if (!diffVol) return false;
+    for (int j = 0; j < vdim; ++j)
+      if (!diffSurf[j] || !diffBound[j][0] || !diffBound[j][1]) return false;
+    return true;
+  }
+};
 
 /// One batched (AoSoA) kernel set for a fixed lane count B. Array
 /// arguments are blocks of B cells in mode-major, lane-minor layout:
@@ -43,6 +66,8 @@ struct VlasovBatchedKernels {
 
   StreamSurfFn streamSurf[3] = {nullptr, nullptr, nullptr};  ///< per config dir
   AccelSurfFn accelSurf[3] = {nullptr, nullptr, nullptr};    ///< per velocity dir
+
+  LboDiffusionKernels lbo;  ///< batched variants (vtSq shared by the lanes)
 
   [[nodiscard]] bool complete(int cdim, int vdim) const {
     if (lanes <= 0 || !streamVol || !accelVol) return false;
@@ -71,6 +96,8 @@ struct VlasovCompiledKernels {
 
   StreamSurfFn streamSurf[3] = {nullptr, nullptr, nullptr};  ///< per config dir
   AccelSurfFn accelSurf[3] = {nullptr, nullptr, nullptr};    ///< per velocity dir
+
+  LboDiffusionKernels lbo;
 
   /// Batched variants, one slot per kKernelBatchLanes entry (empty slots
   /// have lanes == 0; specs generated before the batched emitter, or

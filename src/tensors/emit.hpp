@@ -12,10 +12,20 @@
 //     (inputs w, dxv, f_left, f_right -> increments to both cells)
 //   - surface acceleration kernel, one per velocity direction
 //     (inputs dxv, alpha_left/right, f_left/right -> both cells)
+//   - LBO diffusion volume kernel (inputs dxv, vtSq, f -> out)
+//   - LBO diffusion interior-face (recovery) kernel, one per velocity
+//     direction (inputs dxv, vtSq, f_left/right -> both cells)
+//   - LBO diffusion zero-flux boundary kernel, one per velocity direction
+//     and domain side (inputs dxv, vtSq, f -> out)
+//
+// The LBO drag term needs no kernels of its own: it is the acceleration
+// pair above with alpha = u - v. The diffusion kernels take the
+// configuration-space vth^2 coefficients (numConfModes values) that every
+// velocity cell of one configuration cell shares.
 //
 // tools/gen_kernels renders whole kernel sets into src/kernels/gen/, which
 // are compiled into the library and dispatched through kernels/registry.hpp
-// (the solver falls back to tape execution for specs without generated
+// (the solvers fall back to tape execution for specs without generated
 // kernels). Tests assert generated == tape to machine precision.
 
 #include <cstddef>
@@ -66,6 +76,27 @@ struct EmittedKernel {
 ///          const double* fl, const double* fr, double* outl, double* outr)
 [[nodiscard]] EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j,
                                                   bool batched = false);
+
+/// LBO diffusion volume kernel: sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f
+/// with D the configuration-space coefficient expansion vtSq.
+///   void f(const double* dxv, const double* vtSq, const double* f, double* out)
+[[nodiscard]] EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec, bool batched = false);
+
+/// LBO diffusion interior-face kernel for velocity direction `j`: the
+/// recovery value and slope of the two-cell patch (tensors/dg_tensors.hpp
+/// buildRecoveryWeights), multiplied by D on the face through the face
+/// Gaunt tensor, lifted into both cells (flux term and value term).
+///   void f(const double* dxv, const double* vtSq,
+///          const double* fl, const double* fr, double* outl, double* outr)
+[[nodiscard]] EmittedKernel emitLboDiffSurfaceKernel(const BasisSpec& spec, int j,
+                                                    bool batched = false);
+
+/// LBO diffusion kernel of the zero-flux velocity-domain boundary in
+/// direction `j` on `side` (-1 lower, +1 upper): only the value term, from
+/// the one-sided trace of the boundary cell.
+///   void f(const double* dxv, const double* vtSq, const double* f, double* out)
+[[nodiscard]] EmittedKernel emitLboDiffBoundaryKernel(const BasisSpec& spec, int j, int side,
+                                                     bool batched = false);
 
 /// Render the complete translation unit (all kernels above + registry
 /// registration) for one spec. This is what tools/gen_kernels writes into

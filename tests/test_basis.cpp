@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "basis/basis.hpp"
@@ -136,6 +138,34 @@ TEST(Basis, NamesAreStable) {
   EXPECT_EQ((BasisSpec{2, 3, 2, BasisFamily::Serendipity}).name(), "2x3v_p2_ser");
   EXPECT_EQ((BasisSpec{1, 0, 1, BasisFamily::Tensor}).name(), "1d_p1_ten");
   EXPECT_EQ((BasisSpec{3, 3, 1, BasisFamily::MaximalOrder}).name(), "3x3v_p1_max");
+}
+
+TEST(Basis, CachedLookupIsThreadSafe) {
+  // Several threads race to build and fetch the same uncached bases (specs
+  // no other case uses); every thread must get one address per spec.
+  const std::array<BasisSpec, 4> specs = {BasisSpec{2, 1, 3, BasisFamily::MaximalOrder},
+                                          BasisSpec{1, 2, 3, BasisFamily::Tensor},
+                                          BasisSpec{3, 0, 2, BasisFamily::Serendipity},
+                                          BasisSpec{2, 2, 3, BasisFamily::MaximalOrder}};
+  constexpr int kThreads = 4;
+  std::array<std::array<const Basis*, 4>, kThreads> seen{};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 50; ++rep)
+        for (std::size_t s = 0; s < specs.size(); ++s) {
+          // Each thread starts at a different spec so the first builds race.
+          const std::size_t k = (s + static_cast<std::size_t>(t)) % specs.size();
+          const Basis* b = &basisFor(specs[k]);
+          if (rep == 0) seen[static_cast<std::size_t>(t)][k] = b;
+          EXPECT_EQ(b, seen[static_cast<std::size_t>(t)][k]);
+        }
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    EXPECT_EQ(seen[0][k]->numModes(), Basis(specs[k]).numModes());
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[static_cast<std::size_t>(t)][k], seen[0][k]);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests of the SIMD-batched (AoSoA) kernel execution path: the batched
-// kernels and tape executors must reproduce the scalar path BITWISE — per
+// kernels and the LBO block loops must reproduce the scalar path BITWISE — per
 // lane they perform the same floating-point operations in the same order
 // (dg/batch.hpp documents the contract), so every comparison here is
 // exact equality, not a tolerance.
@@ -110,77 +110,6 @@ TEST(Batch, PackScatterRoundTrip) {
 
     zeroLanes(B, n, blk.data());
     for (const double x : blk) ASSERT_EQ(x, 0.0);
-  }
-}
-
-TEST(Batch, BatchedTapeExecutorsMatchScalarBitwise) {
-  std::mt19937 rng(23);
-  std::uniform_int_distribution<int> pick(0, 19);
-  Tape3 t3;
-  Tape2 t2;
-  for (int i = 0; i < 150; ++i) {
-    std::uniform_real_distribution<double> u(-1.0, 1.0);
-    t3.terms.push_back({pick(rng), pick(rng), pick(rng), u(rng)});
-    t2.terms.push_back({pick(rng), pick(rng), u(rng)});
-  }
-  const int n = 20;
-  const double scale = 1.37;
-  for (const int B : kKernelBatchLanes) {
-    std::vector<std::vector<double>> a, f, outS;
-    std::vector<const double*> ap, fp;
-    for (int b = 0; b < B; ++b) {
-      a.push_back(randomVec(static_cast<std::size_t>(n), rng));
-      f.push_back(randomVec(static_cast<std::size_t>(n), rng));
-      outS.emplace_back(static_cast<std::size_t>(n), 0.0);
-      ap.push_back(a.back().data());
-      fp.push_back(f.back().data());
-    }
-    BatchBuffer aBlk(static_cast<std::size_t>(n) * B), fBlk(static_cast<std::size_t>(n) * B),
-        oBlk(static_cast<std::size_t>(n) * B);
-    packLanes(B, n, ap.data(), aBlk.data());
-    packLanes(B, n, fp.data(), fBlk.data());
-
-    // Tape3, per-lane a.
-    for (int b = 0; b < B; ++b)
-      t3.execute(a[static_cast<std::size_t>(b)], f[static_cast<std::size_t>(b)],
-                 outS[static_cast<std::size_t>(b)], scale);
-    zeroLanes(B, n, oBlk.data());
-    executeBatched(t3, B, aBlk.data(), fBlk.data(), oBlk.data(), scale);
-    for (int b = 0; b < B; ++b)
-      for (int i = 0; i < n; ++i)
-        ASSERT_EQ(oBlk[static_cast<std::size_t>(i * B + b)],
-                  outS[static_cast<std::size_t>(b)][static_cast<std::size_t>(i)])
-            << "B=" << B;
-
-    // Tape3, lane-invariant a (LBO diffusion shape).
-    const std::vector<double>& aShared = a[0];
-    for (int b = 0; b < B; ++b) {
-      std::fill(outS[static_cast<std::size_t>(b)].begin(), outS[static_cast<std::size_t>(b)].end(),
-                0.0);
-      t3.execute(aShared, f[static_cast<std::size_t>(b)], outS[static_cast<std::size_t>(b)],
-                 scale);
-    }
-    zeroLanes(B, n, oBlk.data());
-    executeBatchedSharedA(t3, B, aShared.data(), fBlk.data(), oBlk.data(), scale);
-    for (int b = 0; b < B; ++b)
-      for (int i = 0; i < n; ++i)
-        ASSERT_EQ(oBlk[static_cast<std::size_t>(i * B + b)],
-                  outS[static_cast<std::size_t>(b)][static_cast<std::size_t>(i)])
-            << "B=" << B;
-
-    // Tape2.
-    for (int b = 0; b < B; ++b) {
-      std::fill(outS[static_cast<std::size_t>(b)].begin(), outS[static_cast<std::size_t>(b)].end(),
-                0.0);
-      t2.execute(f[static_cast<std::size_t>(b)], outS[static_cast<std::size_t>(b)], scale);
-    }
-    zeroLanes(B, n, oBlk.data());
-    executeBatched(t2, B, fBlk.data(), oBlk.data(), scale);
-    for (int b = 0; b < B; ++b)
-      for (int i = 0; i < n; ++i)
-        ASSERT_EQ(oBlk[static_cast<std::size_t>(i * B + b)],
-                  outS[static_cast<std::size_t>(b)][static_cast<std::size_t>(i)])
-            << "B=" << B;
   }
 }
 
@@ -337,6 +266,45 @@ TEST_P(BatchedBySpec, KernelsMatchScalarBitwise) {
       expectLanesEqual(o1Blk, outS, "accel_surf outl");
       expectLanesEqual(o2Blk, out2S, "accel_surf outr");
     }
+
+    // LBO diffusion: volume, interior faces and both zero-flux boundaries,
+    // with the configuration-space vth^2 shared by every lane.
+    const int npc = basisFor(spec.configSpec()).numModes();
+    const std::vector<double> vtSq = randomVec(static_cast<std::size_t>(npc), rng);
+    for (int b = 0; b < B; ++b) {
+      outS[static_cast<std::size_t>(b)].assign(static_cast<std::size_t>(np), 0.0);
+      ck->lbo.diffVol(dxv.data(), vtSq.data(), fp[static_cast<std::size_t>(b)],
+                      outS[static_cast<std::size_t>(b)].data());
+    }
+    zeroLanes(B, np, o1Blk.data());
+    bk->lbo.diffVol(dxv.data(), vtSq.data(), fBlk.data(), o1Blk.data());
+    expectLanesEqual(o1Blk, outS, "lbo_diff_vol");
+    for (int j = 0; j < vdim; ++j) {
+      for (int b = 0; b < B; ++b) {
+        outS[static_cast<std::size_t>(b)].assign(static_cast<std::size_t>(np), 0.0);
+        out2S[static_cast<std::size_t>(b)].assign(static_cast<std::size_t>(np), 0.0);
+        ck->lbo.diffSurf[j](dxv.data(), vtSq.data(), fp[static_cast<std::size_t>(b)],
+                            gp[static_cast<std::size_t>(b)],
+                            outS[static_cast<std::size_t>(b)].data(),
+                            out2S[static_cast<std::size_t>(b)].data());
+      }
+      zeroLanes(B, np, o1Blk.data());
+      zeroLanes(B, np, o2Blk.data());
+      bk->lbo.diffSurf[j](dxv.data(), vtSq.data(), fBlk.data(), gBlk.data(), o1Blk.data(),
+                          o2Blk.data());
+      expectLanesEqual(o1Blk, outS, "lbo_diff_surf outl");
+      expectLanesEqual(o2Blk, out2S, "lbo_diff_surf outr");
+      for (int side = 0; side < 2; ++side) {
+        for (int b = 0; b < B; ++b) {
+          outS[static_cast<std::size_t>(b)].assign(static_cast<std::size_t>(np), 0.0);
+          ck->lbo.diffBound[j][side](dxv.data(), vtSq.data(), fp[static_cast<std::size_t>(b)],
+                                     outS[static_cast<std::size_t>(b)].data());
+        }
+        zeroLanes(B, np, o1Blk.data());
+        bk->lbo.diffBound[j][side](dxv.data(), vtSq.data(), fBlk.data(), o1Blk.data());
+        expectLanesEqual(o1Blk, outS, "lbo_diff_bnd");
+      }
+    }
   }
 }
 
@@ -457,6 +425,7 @@ TEST(Batch, LboAdvanceMatchesScalarBitwiseWithRemainders) {
   });
 
   LboUpdater lbo(spec, pg, LboParams{1.0, 2.5, true});
+  ASSERT_TRUE(lbo.usesCompiledKernels());
 
   lbo.setBatchLanes(1);
   EXPECT_EQ(lbo.activeBatchLanes(), 1);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -17,11 +18,13 @@
 
 #include "app/projection.hpp"
 #include "collisions/bgk.hpp"
+#include "collisions/lbo.hpp"
 #include "math/gauss_legendre.hpp"
 #include "par/thread_exec.hpp"
 
 // Whole-binary operator new/delete override counting every heap allocation
-// (the test_obs idiom), read around BgkUpdater::advance below.
+// (the test_obs idiom), read around BgkUpdater::advance and
+// LboUpdater::advance below.
 namespace {
 std::atomic<std::uint64_t> gAllocCount{0};
 }  // namespace
@@ -391,6 +394,38 @@ TEST(Bgk, AdvanceIsAllocationFreeAfterWarmup) {
   bgk.advance(f, rhs);
   bgk.advance(f, rhs);
   EXPECT_EQ(gAllocCount.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST(Lbo, AdvanceIsAllocationFreeAfterWarmup) {
+  // Compiled kernels on both the scalar and the batched cell loops; the
+  // velocity boxes leave remainders that take the scalar kernels. Serial,
+  // and through a one-thread pool (which takes the job as a std::function).
+  ThreadExec pool(1);
+  const std::array<ThreadExec*, 2> execs = {nullptr, &pool};
+  const std::array<BasisSpec, 3> specs = {BasisSpec{1, 1, 2, BasisFamily::Serendipity},
+                                          BasisSpec{2, 2, 1, BasisFamily::Serendipity},
+                                          BasisSpec{1, 3, 1, BasisFamily::Serendipity}};
+  for (ThreadExec* exec : execs) {
+    for (const BasisSpec& spec : specs) {
+      const Grid pg = caseGrid(spec);
+      const Basis& b = basisFor(spec);
+      Field f(pg, b.numModes()), rhs(pg, b.numModes());
+      projectOnBasis(b, pg, [&](const double* z) { return twoBeams(spec, z); }, f);
+      rhs.setZero();
+      LboUpdater lbo(spec, pg, LboParams{1.0, 1.0, true});
+      lbo.setExecutor(exec);
+      ASSERT_TRUE(lbo.usesCompiledKernels()) << spec.name();
+      for (const int lanes : {1, 0}) {
+        lbo.setBatchLanes(lanes);
+        lbo.advance(f, rhs);  // warm-up: grows the per-thread scratch once
+        const std::uint64_t before = gAllocCount.load(std::memory_order_relaxed);
+        lbo.advance(f, rhs);
+        lbo.advance(f, rhs);
+        EXPECT_EQ(gAllocCount.load(std::memory_order_relaxed) - before, 0u)
+            << spec.name() << " lanes=" << lbo.activeBatchLanes() << " pool=" << (exec != nullptr);
+      }
+    }
+  }
 }
 
 }  // namespace

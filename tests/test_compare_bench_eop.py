@@ -7,8 +7,8 @@ tests pin the documented contract:
 
   0 -- within tolerance
   1 -- regression (throughput floor, batched-slower-than-scalar,
-       profiler-enabled overhead beyond --max-overhead, or a BGK cost
-       multiplier beyond 2x)
+       profiler-enabled overhead beyond --max-overhead, a BGK cost
+       multiplier beyond 2x, or an LBO cost multiplier beyond 3x)
   2 -- missing/unreadable input file
   3 -- valid JSON but missing schema key
 
@@ -27,11 +27,11 @@ import unittest
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "tools" / "compare_bench_eop.py"
 
 
-def bench_doc(batched, scalar, profiled=None, bgk=1.0):
+def bench_doc(batched, scalar, profiled=None, bgk=1.0, lbo=2.0):
     eop = {"vlasov": batched, "vlasov_scalar": scalar}
     if profiled is not None:
         eop["vlasov_profiled"] = profiled
-    return {"eop": eop, "cost_multiplier": {"bgk": bgk}}
+    return {"eop": eop, "cost_multiplier": {"bgk": bgk, "lbo": lbo}}
 
 
 class CompareBenchEopExitCodes(unittest.TestCase):
@@ -114,6 +114,21 @@ class CompareBenchEopExitCodes(unittest.TestCase):
         proc = self.run_guard(cur, base)
         self.assertEqual(proc.returncode, 1, proc.stderr)
         self.assertIn("BGK cost multiplier too high", proc.stderr)
+
+    def test_lbo_multiplier_within_gate_exits_0(self):
+        cur = self.write("cur.json", bench_doc(2.0e9, 1.0e9, lbo=2.6))
+        base = self.write("base.json", bench_doc(2.0e9, 1.0e9))
+        proc = self.run_guard(cur, base)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("LBO cost multiplier 2.60x", proc.stdout)
+
+    def test_lbo_multiplier_beyond_gate_exits_1(self):
+        # 7.0x: the tape-interpreted LBO, over the 3x gate.
+        cur = self.write("cur.json", bench_doc(2.0e9, 1.0e9, lbo=7.0))
+        base = self.write("base.json", bench_doc(2.0e9, 1.0e9))
+        proc = self.run_guard(cur, base)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("LBO cost multiplier too high", proc.stderr)
 
     def test_missing_file_exits_2_with_one_line_message(self):
         base = self.write("base.json", bench_doc(2.0e9, 1.0e9))

@@ -1,7 +1,8 @@
 // Tests of the pre-generated (CAS-emitted, compiled) kernels: they must
 // reproduce the sparse-tape interpreter to machine precision — both paths
 // evaluate the same exactly-integrated tensors, one as unrolled compiled
-// source (the paper's deployed form), one as data.
+// source (the paper's deployed form), one as data. Covers the Vlasov
+// updater and the LBO collision operator, for every generated spec.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "collisions/lbo.hpp"
 #include "dg/vlasov.hpp"
 #include "kernels/registry.hpp"
 
@@ -161,6 +163,111 @@ TEST(CompiledKernels, CentralFluxFallsBackToTapes) {
   const VlasovUpdater up(spec, pg, params);
   EXPECT_FALSE(up.usesCompiledKernels());
 }
+
+// ---------------------------------------------------------------- LBO
+
+/// Max-norm of a - b relative to the max-norm of b.
+double relMaxDiff(const Field& a, const Field& b, const Grid& g, int np) {
+  double maxAbs = 0.0, maxDiff = 0.0;
+  forEachCell(g, [&](const MultiIndex& idx) {
+    for (int l = 0; l < np; ++l) {
+      maxAbs = std::max(maxAbs, std::abs(b.at(idx)[l]));
+      maxDiff = std::max(maxDiff, std::abs(a.at(idx)[l] - b.at(idx)[l]));
+    }
+  });
+  return maxAbs > 0.0 ? maxDiff / maxAbs : maxDiff;
+}
+
+class LboCompiledBySpec : public ::testing::TestWithParam<BasisSpec> {};
+
+TEST_P(LboCompiledBySpec, MatchesTapeInterpreter) {
+  const BasisSpec spec = GetParam();
+  const bool big = spec.ndim() >= 5;
+  const Grid pg = phaseGridFor(spec, big ? 2 : 3, big ? 3 : 4);
+  const int np = basisFor(spec).numModes();
+
+  // A strictly positive distribution keeps the weak division sane.
+  Field f(pg, np);
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  forEachCell(pg, [&](const MultiIndex& idx) {
+    double* c = f.at(idx);
+    for (int l = 0; l < np; ++l) c[l] = l == 0 ? 1.0 + 0.5 * u(rng) : 0.05 * u(rng);
+  });
+
+  for (const bool momentFix : {true, false}) {
+    LboUpdater fast(spec, pg, LboParams{1.0, 1.7, momentFix});
+    ASSERT_TRUE(fast.usesCompiledKernels()) << spec.name();
+    LboUpdater slow(spec, pg, LboParams{1.0, 1.7, momentFix});
+    slow.disableCompiledKernels();
+    ASSERT_FALSE(slow.usesCompiledKernels());
+
+    Field rhsFast(pg, np), rhsSlow(pg, np);
+    rhsFast.setZero();
+    rhsSlow.setZero();
+    const double freqFast = fast.advance(f, rhsFast);
+    const double freqSlow = slow.advance(f, rhsSlow);
+    EXPECT_NEAR(freqFast, freqSlow, 1e-12 * freqSlow) << spec.name();
+    EXPECT_LE(relMaxDiff(rhsFast, rhsSlow, pg, np), 1e-11)
+        << spec.name() << " momentFix=" << momentFix;
+  }
+
+  // The raw drag and diffusion pieces, on the primitive moments of f.
+  LboUpdater fast(spec, pg, LboParams{});
+  LboUpdater slow(spec, pg, LboParams{});
+  slow.disableCompiledKernels();
+  const Grid cg = fast.confGrid();
+  const int npc = fast.numConfModes();
+  Field uMom(cg, spec.vdim * npc), vtSq(cg, npc);
+  fast.primitiveMoments(f, uMom, vtSq);
+  Field a(pg, np), b(pg, np);
+  a.setZero();
+  b.setZero();
+  fast.dragTerm(f, uMom, a);
+  slow.dragTerm(f, uMom, b);
+  EXPECT_LE(relMaxDiff(a, b, pg, np), 1e-11) << spec.name() << " drag";
+  a.setZero();
+  b.setZero();
+  fast.diffusionTerm(f, vtSq, a);
+  slow.diffusionTerm(f, vtSq, b);
+  EXPECT_LE(relMaxDiff(a, b, pg, np), 1e-11) << spec.name() << " diffusion";
+}
+
+/// Every spec tools/gen_kernels renders.
+const BasisSpec kGeneratedSpecs[] = {
+    {1, 1, 1, BasisFamily::Tensor},      {1, 1, 2, BasisFamily::Tensor},
+    {1, 1, 2, BasisFamily::Serendipity}, {1, 1, 3, BasisFamily::Serendipity},
+    {1, 1, 3, BasisFamily::Tensor},      {1, 2, 1, BasisFamily::Tensor},
+    {1, 2, 1, BasisFamily::Serendipity}, {1, 2, 2, BasisFamily::Serendipity},
+    {1, 2, 2, BasisFamily::Tensor},      {1, 2, 3, BasisFamily::Serendipity},
+    {1, 3, 1, BasisFamily::Serendipity}, {1, 3, 1, BasisFamily::Tensor},
+    {1, 3, 2, BasisFamily::Serendipity}, {2, 2, 1, BasisFamily::Serendipity},
+    {2, 2, 1, BasisFamily::Tensor},      {2, 2, 2, BasisFamily::Serendipity},
+    {2, 3, 1, BasisFamily::Serendipity}, {2, 3, 1, BasisFamily::Tensor},
+    {2, 3, 2, BasisFamily::Serendipity}, {3, 3, 1, BasisFamily::Serendipity},
+    {3, 3, 1, BasisFamily::MaximalOrder}};
+
+TEST(CompiledKernels, EveryGeneratedSpecCarriesLboKernels) {
+  int generated = 0;
+  for (const BasisSpec& spec : kGeneratedSpecs) {
+    const VlasovCompiledKernels* ck = findCompiledKernels(spec.name());
+    ASSERT_NE(ck, nullptr) << spec.name();
+    EXPECT_TRUE(ck->lbo.complete(spec.vdim)) << spec.name();
+    for (const int lanes : kKernelBatchLanes) {
+      const VlasovBatchedKernels* bk = ck->findBatched(lanes, spec.cdim, spec.vdim);
+      ASSERT_NE(bk, nullptr) << spec.name();
+      EXPECT_TRUE(bk->lbo.complete(spec.vdim)) << spec.name() << " B=" << lanes;
+    }
+    ++generated;
+  }
+  // The list covers the whole registry (bar the fake spec another case adds).
+  int registered = 0;
+  for (const std::string& n : listCompiledKernelSpecs()) registered += n != "0x0v_p0_test";
+  EXPECT_EQ(generated, registered);
+}
+
+INSTANTIATE_TEST_SUITE_P(GeneratedSpecs, LboCompiledBySpec, ::testing::ValuesIn(kGeneratedSpecs),
+                         [](const auto& info) { return info.param.name(); });
 
 INSTANTIATE_TEST_SUITE_P(Specs, CompiledBySpec,
                          ::testing::Values(BasisSpec{1, 1, 1, BasisFamily::Tensor},

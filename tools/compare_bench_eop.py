@@ -15,7 +15,10 @@ when either
     same run — enabled instrumentation must stay in the noise, or
   * the BGK cost multiplier (cost_multiplier.bgk: Vlasov+BGK time over
     Vlasov time in the same run) exceeds MAX_BGK_MULTIPLIER = 2.0, the
-    paper's "collisions roughly double the cost".
+    paper's "collisions roughly double the cost", or
+  * the LBO cost multiplier (cost_multiplier.lbo, likewise) exceeds
+    MAX_LBO_MULTIPLIER = 3.0: drag plus recovery diffusion plus the
+    moment correction, within 3x of the collisionless step.
 
 Absolute Eop numbers are hardware-dependent, so CI runners should
 refresh the baseline when the fleet changes; the scalar-vs-batched
@@ -39,6 +42,7 @@ DEFAULT_BASELINE = pathlib.Path(__file__).resolve().parent.parent / "bench" / "b
     "BENCH_eop.baseline.json"
 )
 MAX_BGK_MULTIPLIER = 2.0
+MAX_LBO_MULTIPLIER = 3.0
 
 
 def main() -> int:
@@ -99,6 +103,7 @@ def main() -> int:
     cur_batched = pick(cur, args.current, "eop", "vlasov")
     cur_scalar = pick(cur, args.current, "eop", "vlasov_scalar")
     cur_bgk = pick(cur, args.current, "cost_multiplier", "bgk")
+    cur_lbo = pick(cur, args.current, "cost_multiplier", "lbo")
     base_batched = pick(base, args.baseline, "eop", "vlasov")
 
     failures = []
@@ -136,12 +141,19 @@ def main() -> int:
             f"{MAX_BGK_MULTIPLIER:.2f}x the collisionless step"
         )
 
+    if cur_lbo > MAX_LBO_MULTIPLIER:
+        failures.append(
+            f"LBO cost multiplier too high: {cur_lbo:.2f}x > "
+            f"{MAX_LBO_MULTIPLIER:.2f}x the collisionless step"
+        )
+
     speedup = cur_batched / cur_scalar if cur_scalar else float("nan")
     print(f"eop: batched {cur_batched:.3e}  scalar {cur_scalar:.3e}  speedup {speedup:.2f}x")
     if cur_profiled is not None:
         print(f"profiler-enabled {cur_profiled:.3e}  (allowed floor "
               f"{cur_batched * (1.0 - args.max_overhead):.3e})")
     print(f"BGK cost multiplier {cur_bgk:.2f}x  (allowed {MAX_BGK_MULTIPLIER:.2f}x)")
+    print(f"LBO cost multiplier {cur_lbo:.2f}x  (allowed {MAX_LBO_MULTIPLIER:.2f}x)")
     print(f"baseline batched {base_batched:.3e}  (floor {floor:.3e})")
 
     if failures:

@@ -33,7 +33,7 @@ double timePerCell(const VlasovUpdater& up, const Field& f, const Field* em, Fie
 
 int main() {
   std::printf("A3: generated+compiled kernels vs runtime tape interpretation\n");
-  std::printf("    (gen = scalar generated kernels; batched = AoSoA lane-loop variants)\n\n");
+  std::printf("    (gen = generated kernels at B=1; batched = widest AoSoA lane count)\n\n");
   std::printf("%-14s %6s %14s %14s %15s %9s %9s\n", "basis", "Np", "tape[us/cell]",
               "gen[us/cell]", "batch[us/cell]", "gen/tape", "bat/gen");
 

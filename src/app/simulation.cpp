@@ -506,8 +506,7 @@ Simulation Simulation::Builder::build() {
   }
   // Zone names are cached here because Updater::name() allocates and the
   // stepper zones every updater once per RK stage. Batch-lane gauges pin
-  // which hot loops run SIMD-batched vs scalar (0 = scalar) — the profile
-  // artifact ROADMAP item 2 wants for "what to batch next".
+  // the lane count each hot loop blocks with (1: one cell per call).
   if (sim.profiler_) {
     for (const std::unique_ptr<Updater>& u : sim.pipeline_) sim.zoneNames_.push_back(u->name());
     for (const VlasovRhsUpdater* vu : sim.vlasovUpds_) {

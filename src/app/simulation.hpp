@@ -364,10 +364,10 @@ class Simulation::Builder {
   /// gives this simulation a dedicated pool of n threads (1 = serial).
   Builder& threads(int n);
   /// SIMD batch width for the Vlasov/LBO hot loops: 0 (default) picks the
-  /// largest batched kernel set the registry offers for the spec; 1 forces
-  /// the scalar cell loops (today's code path, bit-for-bit); 4/8 request a
-  /// specific lane count. The batched path is bitwise identical to scalar,
-  /// so this knob only trades execution schedule — see dg/batch.hpp.
+  /// widest kernel set the registry offers for the spec; 1 runs the B = 1
+  /// kernels on every cell; 4/8 request a specific lane count. Every lane
+  /// count is bitwise identical to B = 1, so this knob only trades
+  /// execution schedule — see dg/batch.hpp.
   Builder& batchLanes(int lanes);
   /// Communication endpoint for boundary sync and the CFL reduction
   /// (non-owning; must outlive the simulation). Default: the shared

@@ -20,9 +20,6 @@ namespace vdg {
 
 namespace {
 
-/// Upper bound on the supported batch lane counts (sizes per-lane queues).
-constexpr int kMaxLanes = 8;
-
 /// Largest conservation system: density, vdim <= 3 momenta, energy.
 constexpr int kMaxSys = 5;
 
@@ -77,7 +74,7 @@ class LaneQueue {
  private:
   int lanes_;
   int n_ = 0;
-  std::array<Item, kMaxLanes> items_{};
+  std::array<Item, kMaxKernelLanes> items_{};
 };
 
 /// One velocity cell: its coefficients, its increment slot, its index.
@@ -129,10 +126,9 @@ bool solveSmall(int n, double (&a)[kMaxSys][kMaxSys], double* b) {
   return true;
 }
 
-/// A scalar or batched kernel set carries everything LBO calls: the
-/// acceleration kernels (drag) and the LBO diffusion kernels.
-template <typename Kernels>
-bool lboReady(const Kernels& k, int vdim) {
+/// True when a kernel set carries everything LBO calls: the acceleration
+/// kernels (drag) and the LBO diffusion kernels.
+bool lboReady(const CompiledKernelSet& k, int vdim) {
   if (!k.accelVol || !k.lbo.complete(vdim)) return false;
   for (int j = 0; j < vdim; ++j)
     if (!k.accelSurf[j]) return false;
@@ -149,8 +145,8 @@ LboUpdater::LboUpdater(const BasisSpec& spec, const Grid& phaseGrid, const LboPa
   if (phaseGrid.ndim != spec.ndim())
     throw std::invalid_argument("LboUpdater: grid/basis dimensionality mismatch");
   for (int d = 0; d < grid_.ndim; ++d) dxv_[static_cast<std::size_t>(d)] = grid_.dx(d);
-  const VlasovCompiledKernels* ck = findCompiledKernels(spec.name());
-  if (ck && ck->numPhaseModes == np_ && lboReady(*ck, vdim_)) compiled_ = ck;
+  const CompiledKernels* ck = findCompiledKernels(spec.name());
+  if (ck && ck->numPhaseModes == np_) compiled_ = ck;
   setBatchLanes(0);
 
   const Basis& phase = *ks_->phase;
@@ -233,13 +229,15 @@ LboUpdater::LboUpdater(const BasisSpec& spec, const Grid& phaseGrid, const LboPa
 }
 
 void LboUpdater::setBatchLanes(int lanes) {
-  batchLanes_ = lanes;
-  batched_ = nullptr;
-  if (!compiled_ || lanes == 1) return;
-  for (const VlasovBatchedKernels& b : compiled_->batched) {
-    if (b.lanes <= 1 || !lboReady(b, vdim_)) continue;
-    if (lanes == 0 ? (!batched_ || b.lanes > batched_->lanes) : b.lanes == lanes) batched_ = &b;
+  one_ = block_ = nullptr;
+  if (!compiled_) return;
+  for (const CompiledKernelSet& k : compiled_->sets) {
+    if (!lboReady(k, vdim_)) continue;
+    if (k.lanes == 1) one_ = &k;
+    else if (lanes == 0 ? (!block_ || k.lanes > block_->lanes) : k.lanes == lanes) block_ = &k;
   }
+  // Leftover items need the B = 1 set: without it, interpret the tapes.
+  if (!one_) block_ = nullptr;
 }
 
 void LboUpdater::primitiveMoments(const Field& f, Field& u, Field& vtSq) const {
@@ -271,8 +269,8 @@ void LboUpdater::diffusionTerm(const Field& f, const Field& vtSq, Field& rhs) co
 double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Field& rhs,
                          bool drag, bool diff, bool correct, double scale) const {
   const VlasovKernelSet& ks = *ks_;
-  const VlasovCompiledKernels* ck = compiled_;
-  const VlasovBatchedKernels* bk = batched_;
+  const CompiledKernelSet* k1 = one_;    // leftover items (nullptr: tape path)
+  const CompiledKernelSet* bk = block_;  // full blocks (nullptr: none)
   const int np = np_, npc = npc_, vdim = vdim_, cdim = cdim_;
   const auto unp = static_cast<std::size_t>(np);
   assert(f.ncomp() == np && rhs.ncomp() == np);
@@ -374,8 +372,8 @@ double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Fi
                             aRf = faceVec(3), fhat = faceVec(4), rv = faceVec(5),
                             rd = faceVec(6), prod = faceVec(7);
 
-    std::array<const double*, kMaxLanes> src{}, src2{};
-    std::array<double*, kMaxLanes> dst{};
+    std::array<const double*, kMaxKernelLanes> src{}, src2{};
+    std::array<double*, kMaxKernelLanes> dst{};
     LaneQueue<VolItem> volQ(B);
     LaneQueue<FaceItem> faceQ(B);
     LaneQueue<BndItem> bndQ(B);
@@ -410,7 +408,7 @@ double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Fi
           const double dv = dxv_[static_cast<std::size_t>(cdim + j)];
           freq += vtMax * (2.0 * polyOrder_ + 1.0) / (dv * dv);
         }
-        if (!ck) {
+        if (!k1) {
           // Embed vth^2 in the phase basis; its face restriction is the
           // same on both sides of every velocity face of this cell.
           std::fill(dPhase, dPhase + np, 0.0);
@@ -456,7 +454,8 @@ double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Fi
       // ------------------------------------------------------- volume
       std::fill(inc, inc + nvel * unp, 0.0);
       const auto volSingle = [&](const VolItem& it) {
-        if (ck) {
+        if (k1) {
+          // B = 1: the kernels run on the cell's own coefficients and slot.
           if (drag) {
             const double* al = alphaRow(0, it.v[0]);
             if (vdim > 1) {
@@ -466,9 +465,9 @@ double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Fi
                           alphaCell + static_cast<std::size_t>(j) * unp);
               al = alphaCell;
             }
-            ck->accelVol(dxv_.data(), al, it.f, it.inc);
+            k1->accelVol(dxv_.data(), al, it.f, it.inc);
           }
-          if (diff) ck->lbo.diffVol(dxv_.data(), vt, it.f, it.inc);
+          if (diff) k1->lbo.diffVol(dxv_.data(), vt, it.f, it.inc);
           return;
         }
         const std::span<const double> fc(it.f, unp);
@@ -522,9 +521,9 @@ double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Fi
         const std::vector<double>& dPlu = derivPlus_[sj];
 
         const auto faceSingle = [&](const FaceItem& it) {
-          if (ck) {
-            if (drag) ck->accelSurf[j](dxv_.data(), it.al, it.ar, it.fl, it.fr, it.incL, it.incR);
-            if (diff) ck->lbo.diffSurf[j](dxv_.data(), vt, it.fl, it.fr, it.incL, it.incR);
+          if (k1) {
+            if (drag) k1->accelSurf[j](dxv_.data(), it.al, it.ar, it.fl, it.fr, it.incL, it.incR);
+            if (diff) k1->lbo.diffSurf[j](dxv_.data(), vt, it.fl, it.fr, it.incL, it.incR);
             return;
           }
           const std::span<double> incL(it.incL, unp), incR(it.incR, unp);
@@ -586,7 +585,7 @@ double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Fi
         };
         // Drag and diffusion lifts land in separate blocks and are added
         // lane by lane in face order, drag before diffusion: each cell sees
-        // the scalar path's additions in the scalar path's order.
+        // the B = 1 path's additions in the B = 1 path's order.
         const auto faceBlock = [&](const FaceItem* items) {
           for (int b = 0; b < B; ++b) {
             src[static_cast<std::size_t>(b)] = items[b].fl;
@@ -633,8 +632,8 @@ double LboUpdater::apply(const Field& f, const Field* uIn, const Field* vtIn, Fi
         // lower boundary, side 1 the upper.
         int side = 0;
         const auto bndSingle = [&](const BndItem& it) {
-          if (ck) {
-            ck->lbo.diffBound[j][side](dxv_.data(), vt, it.f, it.inc);
+          if (k1) {
+            k1->lbo.diffBound[j][side](dxv_.data(), vt, it.f, it.inc);
             return;
           }
           fm.restrictTo({it.f, unp}, fLf, side == 0 ? -1 : +1);

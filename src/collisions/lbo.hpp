@@ -33,11 +33,12 @@
 // accelSurf[j]; their sup-bound penalty is the drag's) and the diffusion
 // through the generated LBO kernels (volume, interior-face recovery,
 // zero-flux boundary), which take the configuration cell's vth^2
-// coefficients directly. With a batched kernel set the velocity cells,
-// interior faces and boundary cells of one configuration cell are gathered
-// into AoSoA blocks of B; batched and scalar results are bitwise equal.
-// Specs without generated kernels — and tests, through
-// disableCompiledKernels() — interpret the same terms from sparse tapes.
+// coefficients directly. The velocity cells, interior faces and boundary
+// cells of one configuration cell are gathered into AoSoA blocks of B;
+// leftovers run through the B = 1 kernels directly on f and the increment.
+// Every lane count gives bitwise equal results. Specs without generated
+// kernels — and tests, through disableCompiledKernels() — interpret the
+// same terms from sparse tapes.
 //
 // advance() is one pass per configuration cell: M0/M1/M2 of its velocity
 // block, the weak division, the increment (volume, interior faces,
@@ -115,25 +116,24 @@ class LboUpdater {
 
   /// True when apply() dispatches to compiled kernels (specs registered
   /// with the acceleration and LBO diffusion kernels) instead of tapes.
-  [[nodiscard]] bool usesCompiledKernels() const { return compiled_ != nullptr; }
+  [[nodiscard]] bool usesCompiledKernels() const { return one_ != nullptr; }
 
   /// Force tape interpretation even when compiled kernels are registered
-  /// (the test oracle). Also disables the batched path.
+  /// (the test oracle).
   void disableCompiledKernels() {
     compiled_ = nullptr;
-    batched_ = nullptr;
-    batchLanes_ = 1;
+    setBatchLanes(0);
   }
 
-  /// SIMD batch width request: 0 = auto (largest registered batched lane
-  /// count, the default), 1 = scalar cell loop, or a kKernelBatchLanes
-  /// entry; requests the registry cannot serve fall back to scalar.
-  /// Bitwise identical either way — the knob exists for A/B benchmarking
-  /// and bisection.
+  /// Lane-count request for the compiled kernels: 0 = auto (the widest
+  /// registered lane count, the default), 1 = the B = 1 instantiation on
+  /// every item, or another kKernelLanes entry; requests the registry
+  /// cannot serve fall back to B = 1. Bitwise identical either way — the
+  /// knob exists for A/B benchmarking and bisection.
   void setBatchLanes(int lanes);
 
-  /// The lane count apply() actually blocks its loops with (1 = scalar).
-  [[nodiscard]] int activeBatchLanes() const { return batched_ ? batched_->lanes : 1; }
+  /// The lane count apply() blocks its loops with (1 for the tape path).
+  [[nodiscard]] int activeBatchLanes() const { return block_ ? block_->lanes : 1; }
 
  private:
   /// One pass per configuration cell. Null `u` / `vtSq` are computed in
@@ -142,8 +142,9 @@ class LboUpdater {
                bool diff, bool correct, double scale) const;
 
   const VlasovKernelSet* ks_;
-  const VlasovCompiledKernels* compiled_ = nullptr;  ///< nullptr: tape path
-  const VlasovBatchedKernels* batched_ = nullptr;    ///< nullptr: scalar cell loops
+  const CompiledKernels* compiled_ = nullptr;  ///< registry entry (nullptr: tape path)
+  const CompiledKernelSet* one_ = nullptr;     ///< B = 1 set (nullptr: tape path)
+  const CompiledKernelSet* block_ = nullptr;   ///< B > 1 set (nullptr: B = 1 throughout)
   ThreadExec* exec_ = nullptr;
   Grid grid_;
   LboParams params_;
@@ -178,7 +179,6 @@ class LboUpdater {
 
   std::vector<double> confSup_;  ///< sup |w_k| per conf mode (CFL bound)
   double jacV_ = 1.0;            ///< velocity-cell Jacobian prod dv_j/2
-  int batchLanes_ = 0;           ///< requested SIMD batch width (0 = auto)
 };
 
 }  // namespace vdg

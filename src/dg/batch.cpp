@@ -3,9 +3,10 @@
 namespace vdg {
 
 // Every entry point dispatches the lane count to a compile-time template
-// instantiation for the registry's supported lane counts (4, 8) so the
-// inner lane loops have constant trip counts the compiler fully
-// vectorizes; other counts take the runtime-B fallback.
+// instantiation for the block lane counts (4, 8) so the inner lane loops
+// have constant trip counts the compiler fully vectorizes; other counts
+// take the runtime-B fallback. buildAccelBatched also instantiates B = 1,
+// which the updaters call on the alpha scratch in place.
 
 namespace {
 
@@ -112,6 +113,7 @@ void buildAccelBatched(const VlasovKernelSet& ks, const Grid& grid, double qbym,
                        const MultiIndex* laneIdx, int B, const AccelWorkspace& ws,
                        double* alphaBlk) {
   switch (B) {
+    case 1: buildAccelImpl<1>(ks, grid, qbym, laneIdx, ws, alphaBlk); return;
     case 4: buildAccelImpl<4>(ks, grid, qbym, laneIdx, ws, alphaBlk); return;
     case 8: buildAccelImpl<8>(ks, grid, qbym, laneIdx, ws, alphaBlk); return;
     default:

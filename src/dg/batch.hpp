@@ -1,23 +1,23 @@
 #pragma once
-// AoSoA cell-blocking layer for SIMD-batched kernel execution.
+// AoSoA cell-blocking layer for the compiled kernels.
 //
-// The generated batched kernels (src/kernels/gen/*_batch.cpp) and the
-// batched acceleration builder below operate on blocks of B cells in AoSoA
-// layout: mode-major, lane-minor, element i of cell (lane) b at
-// [i*B + b]. Updaters gather B cells' coefficient vectors into an aligned
-// scratch block with packLanes, run the batched kernel over the block,
-// and scatter the result back with scatterLanes/scatterAddLanes; cells
-// left over when the count is not a multiple of B fall through to the
-// scalar path.
+// The generated kernels (src/kernels/gen/) and the block acceleration
+// builder below operate on blocks of B cells in AoSoA layout: mode-major,
+// lane-minor, element i of cell (lane) b at [i*B + b]. For B > 1 the
+// updaters gather B cells' coefficient vectors into an aligned scratch
+// block with packLanes, run the B-lane kernel over the block, and scatter
+// the result back with scatterLanes/scatterAddLanes. At B = 1 the layout is
+// the cell's own, so cells left over when the count is not a multiple of B
+// run the B = 1 kernels directly on field memory, with no copy.
 //
 // Bitwise reproducibility contract: per lane, every executor here
-// performs exactly the floating-point operations of its scalar
+// performs exactly the floating-point operations of its one-cell
 // counterpart, in the same order and association. Scratch accumulators
 // start at zero (0 + x == x in IEEE), and the scatter preserves each
 // destination cell's accumulation order, so routing a loop through this
 // layer does not change results — tests/test_batch.cpp asserts the
 // identity bit-for-bit. This file is compiled with the VDG_KERNEL_SIMD
-// flags (wider ISA, -ffp-contract=off) like the batched kernel units.
+// flags (wider ISA, -ffp-contract=off) like the generated kernel units.
 
 #include <cstddef>
 #include <new>
@@ -69,7 +69,7 @@ void scatterLanes(int B, int n, const double* src, double* const* dst);
 /// element, so per-cell accumulation order is preserved.
 void scatterAddLanes(int B, int n, const double* src, double* const* dst);
 
-/// Batched buildAccel (tensors/vlasov_tensors.hpp): assemble
+/// Block form of buildAccel (tensors/vlasov_tensors.hpp): assemble
 /// alpha_j = (q/m)(E + v x B)_j for the B phase cells laneIdx[0..B)
 /// directly in AoSoA layout (alphaBlk has vdim * numPhaseModes * B
 /// entries). The workspace expansions are lane-invariant (all lanes share

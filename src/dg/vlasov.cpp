@@ -22,10 +22,6 @@ void forEachIdx(int nd, const int* hi, Fn fn) {
   forEachIndexInRange(nd, hi, 0, boxSize(nd, hi), fn);
 }
 
-/// Upper bound on the registry's batched lane counts (sizes the per-lane
-/// pointer/index scratch arrays).
-constexpr int kMaxLanes = 8;
-
 }  // namespace
 
 VlasovUpdater::VlasovUpdater(const BasisSpec& spec, const Grid& phaseGrid,
@@ -36,17 +32,30 @@ VlasovUpdater::VlasovUpdater(const BasisSpec& spec, const Grid& phaseGrid,
     throw std::invalid_argument("VlasovUpdater: grid/basis dimensionality mismatch");
   for (int d = 0; d < grid_.ndim; ++d) dxv_[static_cast<std::size_t>(d)] = grid_.dx(d);
   // Generated surface kernels bake in the penalty flux, so the compiled
-  // path is only valid for FluxType::Penalty.
+  // path is only valid for FluxType::Penalty. It needs the B = 1 set for
+  // the cells and faces that do not fill a block.
   if (params.flux == FluxType::Penalty) {
-    const VlasovCompiledKernels* ck = findCompiledKernels(spec.name());
-    if (ck && ck->numPhaseModes == ks_->numPhaseModes && ck->complete(ks_->cdim, ks_->vdim))
+    const CompiledKernels* ck = findCompiledKernels(spec.name());
+    if (ck && ck->numPhaseModes == ks_->numPhaseModes && ck->find(1, ks_->cdim, ks_->vdim))
       compiled_ = ck;
   }
+  setBatchLanes(0);
 }
 
-const VlasovBatchedKernels* VlasovUpdater::batchedKernels() const {
-  const int lanes = activeBatchLanes();
-  return lanes > 1 ? compiled_->findBatched(lanes, ks_->cdim, ks_->vdim) : nullptr;
+void VlasovUpdater::setBatchLanes(int lanes) {
+  one_ = block_ = nullptr;
+  if (compiled_) {
+    const int cdim = ks_->cdim, vdim = ks_->vdim;
+    one_ = compiled_->find(1, cdim, vdim);
+    block_ = compiled_->find(lanes == 0 ? compiled_->maxLanes(cdim, vdim) : lanes, cdim, vdim);
+    if (!block_) block_ = one_;
+  }
+  logKernelDispatch(specName_, one_ != nullptr, activeBatchLanes());
+}
+
+void VlasovUpdater::disableCompiledKernels() {
+  compiled_ = nullptr;
+  setBatchLanes(0);
 }
 
 double VlasovUpdater::advance(const Field& f, const Field* em, Field& rhs) const {
@@ -65,12 +74,6 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
   const int cdim = ks.cdim, vdim = ks.vdim, ndim = ks.ndim;
   assert(f.ncomp() == np && rhs.ncomp() == np);
   assert(!em || em->ncomp() == kEmComps * ks.numConfModes);
-
-  // Resolve the SIMD-batched kernel set (nullptr: scalar cell loops). The
-  // batched path is bitwise identical to the scalar one per cell, so this
-  // only selects how the same arithmetic is scheduled.
-  const VlasovBatchedKernels* bk = batchedKernels();
-  logKernelDispatch(specName_, compiled_ != nullptr, bk ? bk->lanes : 1);
 
   rhs.setZero();
   double maxFreq = 0.0;
@@ -94,79 +97,58 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
   // Parallel over configuration cells: every phase-space cell is written by
   // exactly one chunk, so the decomposition is race-free and bitwise
   // reproducible. Acceleration prep and scratch are per-chunk locals.
-  // With a batched kernel set, runs of B consecutive velocity cells (in the
-  // odometer order of the scalar loop) are gathered into an AoSoA block and
-  // updated by one batched kernel call; leftover cells take the scalar
-  // path. Blocks never span chunk boundaries, so threading stays bitwise
-  // serial-identical.
-  // Skip the batched driver when the velocity box cannot fill even one
-  // block — every cell would take the remainder path anyway, and the
-  // scalar driver avoids the block-buffer setup.
-  const VlasovBatchedKernels* bkVol =
-      (bk && boxSize(vdim, velHi) >= static_cast<std::size_t>(bk->lanes)) ? bk : nullptr;
-  runChunked(boxSize(cdim, confHi), [&, bkVol](std::size_t begin, std::size_t end) {
-    const VlasovBatchedKernels* bk = bkVol;
+  // With compiled kernels, runs of B consecutive velocity cells (in
+  // odometer order) are updated by one B-lane call and leftover cells by
+  // the B = 1 set. Blocks never span chunk boundaries, so threading stays
+  // bitwise serial-identical. A velocity box that cannot fill one block
+  // runs at B = 1 throughout.
+  const CompiledKernelSet* blk =
+      (block_ && boxSize(vdim, velHi) >= static_cast<std::size_t>(block_->lanes)) ? block_ : one_;
+  runChunked(boxSize(cdim, confHi), [&, blk](std::size_t begin, std::size_t end) {
     AccelWorkspace ws;
-    std::vector<double> alpha(static_cast<std::size_t>(vdim) * np);
-    std::array<double, kMaxDim> wArr{};
     double chunkFreq = 0.0;
 
-    const int B = bk ? bk->lanes : 1;
-    BatchBuffer wBlk, fBlk, outBlk, alphaBlk;
-    if (bk) {
-      wBlk.resize(static_cast<std::size_t>(ndim) * B);
+    const int B = blk ? blk->lanes : 1;
+    BatchBuffer fBlk, outBlk, alphaBlk;
+    if (B > 1) {
       fBlk.resize(static_cast<std::size_t>(np) * B);
       outBlk.resize(static_cast<std::size_t>(np) * B);
       if (em) alphaBlk.resize(static_cast<std::size_t>(vdim) * np * B);
     }
-    std::array<MultiIndex, kMaxLanes> laneIdx;
-    std::array<const double*, kMaxLanes> lanePtr{};
-    std::array<double*, kMaxLanes> laneOut{};
-    std::array<double*, kMaxLanes> laneOutAlpha{};
-    std::array<double, kMaxLanes> laneFreq{};
+    std::array<double, kMaxDim * kMaxKernelLanes> wBlk{};
+    std::array<MultiIndex, kMaxKernelLanes> laneIdx;
+    std::array<const double*, kMaxKernelLanes> lanePtr{};
+    std::array<double*, kMaxKernelLanes> laneOut{};
+    std::array<double*, kMaxKernelLanes> laneOutAlpha{};
+    std::array<double, kMaxKernelLanes> laneFreq{};
 
     forEachIndexInRange(cdim, confHi, begin, end, [&](const MultiIndex& cidx) {
       // Per-configuration-cell preparation shared by all velocity cells.
       if (em) prepareAccel(ks, em->at(cidx), ws);
 
-      // Scalar volume update of one phase-space cell (the pre-batching
-      // code path, verbatim; also the remainder path below).
+      // Tape-interpreted volume update of one phase-space cell.
       const auto scalarCell = [&](const MultiIndex& idx) {
         const std::span<const double> fc = f.cell(idx);
         const std::span<double> rc = rhs.cell(idx);
 
         double freq = 0.0;
-        // Streaming volume terms.
-        if (compiled_) {
-          for (int d = 0; d < ndim; ++d) wArr[static_cast<std::size_t>(d)] = grid_.cellCenter(d, idx[d]);
-          compiled_->streamVol(wArr.data(), dxv_.data(), fc.data(), rc.data());
-          for (int d = 0; d < cdim; ++d) {
-            const int vd = cdim + d;
-            freq += (std::abs(wArr[static_cast<std::size_t>(vd)]) + 0.5 * grid_.dx(vd)) /
-                    grid_.dx(d);
-          }
-        } else {
-          for (int d = 0; d < cdim; ++d) {
-            const int vd = cdim + d;
-            const double wc = grid_.cellCenter(vd, idx[vd]);
-            const double hdv = 0.5 * grid_.dx(vd);
-            const double rdx2 = 2.0 / grid_.dx(d);
-            ks.streamVol0[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * wc);
-            ks.streamVol1[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * hdv);
-            freq += (std::abs(wc) + hdv) / grid_.dx(d);
-          }
+        for (int d = 0; d < cdim; ++d) {
+          const int vd = cdim + d;
+          const double wc = grid_.cellCenter(vd, idx[vd]);
+          const double hdv = 0.5 * grid_.dx(vd);
+          const double rdx2 = 2.0 / grid_.dx(d);
+          ks.streamVol0[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * wc);
+          ks.streamVol1[static_cast<std::size_t>(d)].execute(fc, rc, rdx2 * hdv);
+          freq += (std::abs(wc) + hdv) / grid_.dx(d);
         }
-        // Acceleration volume terms.
         if (em) {
-          buildAccel(ks, grid_, qbym_, idx, ws, alpha);
-          std::copy(alpha.begin(), alpha.end(), alphaField.at(idx));
-          if (compiled_) compiled_->accelVol(dxv_.data(), alpha.data(), fc.data(), rc.data());
+          double* alpha = alphaField.at(idx);
+          buildAccel(ks, grid_, qbym_, idx, ws, {alpha, static_cast<std::size_t>(vdim) * np});
           for (int j = 0; j < vdim; ++j) {
             const int d = cdim + j;
-            const std::span<const double> aj(alpha.data() + static_cast<std::size_t>(j) * np,
+            const std::span<const double> aj(alpha + static_cast<std::size_t>(j) * np,
                                              static_cast<std::size_t>(np));
-            if (!compiled_)
-              ks.volume[static_cast<std::size_t>(d)].execute(aj, fc, rc, 2.0 / grid_.dx(d));
+            ks.volume[static_cast<std::size_t>(d)].execute(aj, fc, rc, 2.0 / grid_.dx(d));
             // Speed bound for the CFL frequency: |alpha| <= sum |a_l| sup|w_l|.
             double amax = 0.0;
             for (int l = 0; l < np; ++l)
@@ -178,78 +160,90 @@ double VlasovUpdater::advanceVolume(const Field& f, const Field* em, Field& rhs,
         chunkFreq = std::max(chunkFreq, freq);
       };
 
-      // Batched volume update of B cells (laneIdx[0..B)): same arithmetic
-      // per lane, scheduled as AoSoA lane loops.
-      const auto batchBlock = [&]() {
-        for (int b = 0; b < B; ++b) {
-          lanePtr[static_cast<std::size_t>(b)] = f.at(laneIdx[static_cast<std::size_t>(b)]);
-          laneOut[static_cast<std::size_t>(b)] = rhs.at(laneIdx[static_cast<std::size_t>(b)]);
+      // Compiled volume update of the k.lanes cells idx[0..B) (one
+      // configuration cell, so the acceleration workspace is lane-
+      // invariant). At B = 1 the block of one lane is the cell's own
+      // layout, so the kernels run straight on f, rhs and the alpha
+      // scratch; wider blocks are packed into aligned scratch, and the
+      // results scattered back. Volume is the first contribution to each
+      // rhs cell (rhs was zeroed), so the scatter overwrites — exactly the
+      // values the in-place B = 1 call accumulates.
+      const auto kernelBlock = [&](const CompiledKernelSet& k, const MultiIndex* idx) {
+        const int nb = k.lanes;
+        const bool direct = nb == 1;
+        const double* fb = f.at(idx[0]);
+        double* ob = rhs.at(idx[0]);
+        double* ab = em ? alphaField.at(idx[0]) : nullptr;
+        if (!direct) {
+          for (int b = 0; b < nb; ++b) {
+            lanePtr[static_cast<std::size_t>(b)] = f.at(idx[b]);
+            laneOut[static_cast<std::size_t>(b)] = rhs.at(idx[b]);
+          }
+          packLanes(nb, np, lanePtr.data(), fBlk.data());
+          zeroLanes(nb, np, outBlk.data());
+          fb = fBlk.data();
+          ob = outBlk.data();
+          ab = alphaBlk.data();
         }
         for (int d = 0; d < ndim; ++d)
-          for (int b = 0; b < B; ++b)
-            wBlk[static_cast<std::size_t>(d * B + b)] =
-                grid_.cellCenter(d, laneIdx[static_cast<std::size_t>(b)][d]);
-        packLanes(B, np, lanePtr.data(), fBlk.data());
-        zeroLanes(B, np, outBlk.data());
-        bk->streamVol(wBlk.data(), dxv_.data(), fBlk.data(), outBlk.data());
-        for (int b = 0; b < B; ++b) {
+          for (int b = 0; b < nb; ++b)
+            wBlk[static_cast<std::size_t>(d * nb + b)] = grid_.cellCenter(d, idx[b][d]);
+        k.streamVol(wBlk.data(), dxv_.data(), fb, ob);
+        for (int b = 0; b < nb; ++b) {
           double freq = 0.0;
           for (int d = 0; d < cdim; ++d) {
             const int vd = cdim + d;
-            freq += (std::abs(wBlk[static_cast<std::size_t>(vd * B + b)]) + 0.5 * grid_.dx(vd)) /
+            freq += (std::abs(wBlk[static_cast<std::size_t>(vd * nb + b)]) + 0.5 * grid_.dx(vd)) /
                     grid_.dx(d);
           }
           laneFreq[static_cast<std::size_t>(b)] = freq;
         }
         if (em) {
-          // Assemble all B alpha expansions directly in AoSoA layout (the
-          // workspace is lane-invariant: one configuration cell per block),
-          // then scatter to alphaField for the surface pass.
-          buildAccelBatched(ks, grid_, qbym_, laneIdx.data(), B, ws, alphaBlk.data());
-          for (int b = 0; b < B; ++b)
-            laneOutAlpha[static_cast<std::size_t>(b)] =
-                alphaField.at(laneIdx[static_cast<std::size_t>(b)]);
-          scatterLanes(B, vdim * np, alphaBlk.data(), laneOutAlpha.data());
-          bk->accelVol(dxv_.data(), alphaBlk.data(), fBlk.data(), outBlk.data());
-          // CFL speed bound per lane, in the scalar loop's l order.
-          for (int b = 0; b < B; ++b) {
+          // Assemble the nb alpha expansions in block layout, then scatter
+          // them to alphaField for the surface pass.
+          buildAccelBatched(ks, grid_, qbym_, idx, nb, ws, ab);
+          if (!direct) {
+            for (int b = 0; b < nb; ++b)
+              laneOutAlpha[static_cast<std::size_t>(b)] = alphaField.at(idx[b]);
+            scatterLanes(nb, vdim * np, ab, laneOutAlpha.data());
+          }
+          k.accelVol(dxv_.data(), ab, fb, ob);
+          // CFL speed bound per lane, in l order.
+          for (int b = 0; b < nb; ++b) {
             for (int j = 0; j < vdim; ++j) {
               const int d = cdim + j;
-              const double* aj = alphaBlk.data() + static_cast<std::size_t>(j) * np * B;
+              const double* aj = ab + static_cast<std::size_t>(j) * np * nb;
               double amax = 0.0;
               for (int l = 0; l < np; ++l)
-                amax += std::abs(aj[l * B + b]) * ks.phaseSup[static_cast<std::size_t>(l)];
+                amax += std::abs(aj[l * nb + b]) * ks.phaseSup[static_cast<std::size_t>(l)];
               laneFreq[static_cast<std::size_t>(b)] += amax / grid_.dx(d);
             }
           }
         }
-        // Volume is the first contribution to each rhs cell (rhs was
-        // zeroed), so the block scatter overwrites — exactly the values the
-        // scalar kernels would have accumulated in place.
-        scatterLanes(B, np, outBlk.data(), laneOut.data());
-        for (int b = 0; b < B; ++b)
+        if (!direct) scatterLanes(nb, np, ob, laneOut.data());
+        for (int b = 0; b < nb; ++b)
           chunkFreq = std::max(chunkFreq, laneFreq[static_cast<std::size_t>(b)]);
       };
 
-      if (bk) {
-        int lane = 0;
-        forEachIdx(vdim, velHi, [&](const MultiIndex& vidx) {
-          MultiIndex idx = cidx;
-          for (int j = 0; j < vdim; ++j) idx[cdim + j] = vidx[j];
-          laneIdx[static_cast<std::size_t>(lane++)] = idx;
-          if (lane == B) {
-            batchBlock();
-            lane = 0;
-          }
-        });
-        for (int b = 0; b < lane; ++b) scalarCell(laneIdx[static_cast<std::size_t>(b)]);
-      } else {
+      if (!blk) {
         forEachIdx(vdim, velHi, [&](const MultiIndex& vidx) {
           MultiIndex idx = cidx;
           for (int j = 0; j < vdim; ++j) idx[cdim + j] = vidx[j];
           scalarCell(idx);
         });
+        return;
       }
+      int lane = 0;
+      forEachIdx(vdim, velHi, [&](const MultiIndex& vidx) {
+        MultiIndex& idx = laneIdx[static_cast<std::size_t>(lane++)];
+        idx = cidx;
+        for (int j = 0; j < vdim; ++j) idx[cdim + j] = vidx[j];
+        if (lane == B) {
+          kernelBlock(*blk, laneIdx.data());
+          lane = 0;
+        }
+      });
+      for (int b = 0; b < lane; ++b) kernelBlock(*one_, &laneIdx[static_cast<std::size_t>(b)]);
     });
     std::scoped_lock lock(freqMutex);
     maxFreq = std::max(maxFreq, chunkFreq);
@@ -265,7 +259,6 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
   const int cdim = ks.cdim, ndim = ks.ndim;
   assert(f.ncomp() == np && rhs.ncomp() == np);
   const Field& alphaField = alphaScratch;
-  const VlasovBatchedKernels* bk = batchedKernels();
 
   const auto runChunked = [this](std::size_t n, const auto& fn) { chunkedFor(exec_, n, fn); };
 
@@ -275,9 +268,9 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
   // touch only the cells of that line, so lines decompose race-free, and
   // each cell still receives its lower-face then upper-face lift in the
   // serial order — the threaded result stays bit-for-bit serial-identical.
-  // The batched path gathers B parallel lines and walks their faces in
-  // lockstep (every lane at the same face position i, so boundary handling
-  // is uniform across the block); leftover lines take the scalar path.
+  // With compiled kernels, B parallel lines are swept in lockstep (every
+  // lane at the same face position i, so boundary handling is uniform
+  // across the block); leftover lines are swept by the B = 1 set.
   const bool penalty = params_.flux == FluxType::Penalty;
   for (int d = 0; d < ndim; ++d) {
     const auto ds = static_cast<std::size_t>(d);
@@ -290,13 +283,13 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
     for (int i = 0; i < ndim; ++i)
       if (i != d) transHi[nt++] = grid_.cells[static_cast<std::size_t>(i)];
 
-    // As in the volume pass: no batched driver when there are fewer
+    // As in the volume pass: B = 1 throughout when there are fewer
     // transverse lines than one block's worth.
-    const VlasovBatchedKernels* bkSurf =
-        (bk && boxSize(nt, transHi) >= static_cast<std::size_t>(bk->lanes)) ? bk : nullptr;
-    runChunked(boxSize(nt, transHi),
-               [&, d, ds, isConfDir, bkSurf](std::size_t begin, std::size_t end) {
-      const VlasovBatchedKernels* bk = bkSurf;
+    const CompiledKernelSet* blk =
+        (block_ && boxSize(nt, transHi) >= static_cast<std::size_t>(block_->lanes)) ? block_
+                                                                                    : one_;
+    runChunked(boxSize(nt, transHi), [&, d, ds, isConfDir, blk](std::size_t begin,
+                                                                std::size_t end) {
       const FaceMap& fm = ks.faceMap[ds];
       const int nf = fm.numFaceModes;
       const double rdx2 = 2.0 / grid_.dx(d);
@@ -305,12 +298,10 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
       std::vector<double> favg(static_cast<std::size_t>(nf)), fhat(static_cast<std::size_t>(nf));
       std::vector<double> aL(static_cast<std::size_t>(nf)), aR(static_cast<std::size_t>(nf));
       std::vector<double> scratch(static_cast<std::size_t>(np));  // discarded ghost-side output
-      std::array<double, kMaxDim> wArr{};
 
-      const int B = bk ? bk->lanes : 1;
-      BatchBuffer wBlk, faceBlkA, faceBlkB, outlBlk, outrBlk, alphaBlkA, alphaBlkB;
-      if (bk) {
-        wBlk.resize(static_cast<std::size_t>(ndim) * B);
+      const int B = blk ? blk->lanes : 1;
+      BatchBuffer faceBlkA, faceBlkB, outlBlk, outrBlk, alphaBlkA, alphaBlkB;
+      if (B > 1) {
         faceBlkA.resize(static_cast<std::size_t>(np) * B);
         faceBlkB.resize(static_cast<std::size_t>(np) * B);
         outlBlk.resize(static_cast<std::size_t>(np) * B);
@@ -320,13 +311,15 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
           alphaBlkB.resize(static_cast<std::size_t>(np) * B);
         }
       }
-      std::array<MultiIndex, kMaxLanes> lineIdx;
-      std::array<const double*, kMaxLanes> srcPtr{};
-      std::array<const double*, kMaxLanes> alphaPtr{};
-      std::array<double*, kMaxLanes> dstPtr{};
+      double* const fBuf[2] = {faceBlkA.data(), faceBlkB.data()};
+      double* const aBuf[2] = {alphaBlkA.data(), alphaBlkB.data()};
+      std::array<double, kMaxDim * kMaxKernelLanes> wBlk{};
+      std::array<MultiIndex, kMaxKernelLanes> lineIdx;
+      std::array<const double*, kMaxKernelLanes> srcPtr{};
+      std::array<const double*, kMaxKernelLanes> alphaPtr{};
+      std::array<double*, kMaxKernelLanes> dstPtr{};
 
-      // Scalar face sweep of one line (the pre-batching code path,
-      // verbatim; also the remainder path below). `fidx` has the line's
+      // Tape-interpreted face sweep of one line. `fidx` has the line's
       // transverse components set; fidx[d] is scratch.
       const auto scalarLine = [&](MultiIndex fidx) {
         // Iterate the line's faces: positions i in [0, N_d] (the idx[d] face
@@ -339,24 +332,6 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
           lidx[d] = i - 1;
           const bool lInterior = i > 0;
           const bool rInterior = i < nd;
-
-          if (compiled_) {
-            double* outl = lInterior ? rhs.at(lidx) : scratch.data();
-            double* outr = rInterior ? rhs.at(ridx) : scratch.data();
-            if (isConfDir) {
-              const int vd = cdim + d;
-              wArr[static_cast<std::size_t>(vd)] = grid_.cellCenter(vd, fidx[vd]);
-              compiled_->streamSurf[d](wArr.data(), dxv_.data(), f.at(lidx), f.at(ridx), outl,
-                                       outr);
-            } else {
-              const int j = d - cdim;
-              const int off = j * np;
-              compiled_->accelSurf[j](dxv_.data(), alphaField.at(lidx) + off,
-                                      alphaField.at(ridx) + off, f.at(lidx), f.at(ridx), outl,
-                                      outr);
-            }
-            continue;
-          }
 
           fm.restrictTo(f.cell(lidx), fL, +1);
           fm.restrictTo(f.cell(ridx), fR, -1);
@@ -406,102 +381,119 @@ void VlasovUpdater::advanceSurface(const Field& f, const Field* em, Field& rhs,
         }
       };
 
-      // Batched face sweep of B parallel lines (lineIdx[0..B)). The left
-      // block of face i+1 is the right block of face i, so each step packs
-      // only the right side and swaps. Per-lane pointer cursors advance by
-      // one cell stride in d per face, so the sweep does no per-face index
-      // arithmetic.
-      const auto batchLines = [&]() {
+      // Compiled face sweep of the k.lanes parallel lines lines[0..B).
+      // Per-lane pointer cursors advance by one cell stride in d per face,
+      // so the sweep does no per-face index arithmetic. At B = 1 the
+      // kernels run straight on f, alpha and rhs (ghost-side output goes to
+      // scratch). Wider blocks pack only the right side of each face (the
+      // left block of face i+1 is the right block of face i) and
+      // scatter-add the lifts in face order: a cell's lower-face lift
+      // (outr of face i) lands before its upper-face lift (outl of face
+      // i+1), the per-cell accumulation order of the B = 1 sweep.
+      const auto kernelLines = [&](const CompiledKernelSet& k, const MultiIndex* lines) {
+        const int nb = k.lanes;
+        const bool direct = nb == 1;
         const int nd = grid_.cells[ds];
         const int iBegin = isConfDir ? 0 : 1;
         const int iEnd = isConfDir ? nd : nd - 1;
         const int j = isConfDir ? -1 : d - cdim;
         const int off = isConfDir ? 0 : j * np;
 
-        double* fl = faceBlkA.data();
-        double* fr = faceBlkB.data();
-        double* al = alphaBlkA.data();
-        double* ar = alphaBlkB.data();
-
         if (isConfDir) {
           // Face-normal speed v_d per lane: a transverse (velocity)
           // coordinate of the line, constant along the whole sweep.
           const int vd = cdim + d;
-          for (int b = 0; b < B; ++b)
-            wBlk[static_cast<std::size_t>(vd * B + b)] =
-                grid_.cellCenter(vd, lineIdx[static_cast<std::size_t>(b)][vd]);
+          for (int b = 0; b < nb; ++b)
+            wBlk[static_cast<std::size_t>(vd * nb + b)] = grid_.cellCenter(vd, lines[b][vd]);
         }
 
         // One-cell strides in d (uniform across lanes) and per-lane
-        // cursors: fCur/aCur at position i (advanced at the top of each
-        // face step), rCur at position i - 1 (the outl destination).
+        // cursors: srcPtr/alphaPtr at position i (advanced at the top of
+        // each face step), dstPtr at position i - 1 (the outl destination).
         std::ptrdiff_t fStep, rStep, aStep = 0;
         {
-          MultiIndex p0 = lineIdx[0], p1 = lineIdx[0];
+          MultiIndex p0 = lines[0], p1 = lines[0];
           p0[d] = iBegin - 1;
           p1[d] = iBegin;
           fStep = f.at(p1) - f.at(p0);
           rStep = rhs.at(p1) - rhs.at(p0);
           if (!isConfDir) aStep = alphaField.at(p1) - alphaField.at(p0);
         }
-        for (int b = 0; b < B; ++b) {
-          MultiIndex li = lineIdx[static_cast<std::size_t>(b)];
+        for (int b = 0; b < nb; ++b) {
+          MultiIndex li = lines[b];
           li[d] = iBegin - 1;
           srcPtr[static_cast<std::size_t>(b)] = f.at(li);
           dstPtr[static_cast<std::size_t>(b)] = rhs.at(li);
           if (!isConfDir) alphaPtr[static_cast<std::size_t>(b)] = alphaField.at(li) + off;
         }
-        packLanes(B, np, srcPtr.data(), fl);
-        if (!isConfDir) packLanes(B, np, alphaPtr.data(), al);
+        const double* fl = srcPtr[0];
+        const double* al = alphaPtr[0];
+        if (!direct) {
+          packLanes(nb, np, srcPtr.data(), fBuf[0]);
+          fl = fBuf[0];
+          if (!isConfDir) {
+            packLanes(nb, np, alphaPtr.data(), aBuf[0]);
+            al = aBuf[0];
+          }
+        }
+        int spare = 1;  // block buffer the next right side is packed into
 
         for (int i = iBegin; i <= iEnd; ++i) {
-          for (int b = 0; b < B; ++b) srcPtr[static_cast<std::size_t>(b)] += fStep;
-          packLanes(B, np, srcPtr.data(), fr);
-          zeroLanes(B, np, outlBlk.data());
-          zeroLanes(B, np, outrBlk.data());
-          if (isConfDir) {
-            bk->streamSurf[d](wBlk.data(), dxv_.data(), fl, fr, outlBlk.data(), outrBlk.data());
-          } else {
-            for (int b = 0; b < B; ++b) alphaPtr[static_cast<std::size_t>(b)] += aStep;
-            packLanes(B, np, alphaPtr.data(), ar);
-            bk->accelSurf[j](dxv_.data(), al, ar, fl, fr, outlBlk.data(), outrBlk.data());
+          for (int b = 0; b < nb; ++b) srcPtr[static_cast<std::size_t>(b)] += fStep;
+          if (!isConfDir)
+            for (int b = 0; b < nb; ++b) alphaPtr[static_cast<std::size_t>(b)] += aStep;
+          const double* fr = srcPtr[0];
+          const double* ar = alphaPtr[0];
+          double* outl = i > 0 ? dstPtr[0] : scratch.data();
+          double* outr = i < nd ? dstPtr[0] + rStep : scratch.data();
+          if (!direct) {
+            packLanes(nb, np, srcPtr.data(), fBuf[spare]);
+            fr = fBuf[spare];
+            if (!isConfDir) {
+              packLanes(nb, np, alphaPtr.data(), aBuf[spare]);
+              ar = aBuf[spare];
+            }
+            spare ^= 1;
+            outl = outlBlk.data();
+            outr = outrBlk.data();
+            zeroLanes(nb, np, outl);
+            zeroLanes(nb, np, outr);
           }
-          // Scatter-add in face order: a cell's lower-face lift (outr of
-          // face i) lands before its upper-face lift (outl of face i+1),
-          // preserving the scalar path's per-cell accumulation order.
-          // Ghost-side outputs are simply dropped.
-          if (i > 0) scatterAddLanes(B, np, outlBlk.data(), dstPtr.data());
-          for (int b = 0; b < B; ++b) dstPtr[static_cast<std::size_t>(b)] += rStep;
-          if (i < nd) scatterAddLanes(B, np, outrBlk.data(), dstPtr.data());
-          std::swap(fl, fr);
-          if (!isConfDir) std::swap(al, ar);
+          if (isConfDir)
+            k.streamSurf[d](wBlk.data(), dxv_.data(), fl, fr, outl, outr);
+          else
+            k.accelSurf[j](dxv_.data(), al, ar, fl, fr, outl, outr);
+          // Ghost-side outputs are dropped.
+          if (!direct && i > 0) scatterAddLanes(nb, np, outl, dstPtr.data());
+          for (int b = 0; b < nb; ++b) dstPtr[static_cast<std::size_t>(b)] += rStep;
+          if (!direct && i < nd) scatterAddLanes(nb, np, outr, dstPtr.data());
+          fl = fr;
+          al = ar;
         }
       };
 
-      if (bk) {
-        int lane = 0;
-        forEachIndexInRange(nt, transHi, begin, end, [&](const MultiIndex& tidx) {
-          MultiIndex fidx;
-          int jt = 0;
-          for (int i = 0; i < ndim; ++i)
-            if (i != d) fidx[i] = tidx[jt++];
-          fidx[d] = 0;
-          lineIdx[static_cast<std::size_t>(lane++)] = fidx;
-          if (lane == B) {
-            batchLines();
-            lane = 0;
-          }
-        });
-        for (int b = 0; b < lane; ++b) scalarLine(lineIdx[static_cast<std::size_t>(b)]);
-      } else {
-        forEachIndexInRange(nt, transHi, begin, end, [&](const MultiIndex& tidx) {
-          MultiIndex fidx;
-          int jt = 0;
-          for (int i = 0; i < ndim; ++i)
-            if (i != d) fidx[i] = tidx[jt++];
-          scalarLine(fidx);
-        });
+      // The line of transverse index tidx (fidx[d] = 0).
+      const auto lineOf = [&](const MultiIndex& tidx) {
+        MultiIndex fidx;
+        int jt = 0;
+        for (int i = 0; i < ndim; ++i)
+          if (i != d) fidx[i] = tidx[jt++];
+        return fidx;
+      };
+      if (!blk) {
+        forEachIndexInRange(nt, transHi, begin, end,
+                            [&](const MultiIndex& tidx) { scalarLine(lineOf(tidx)); });
+        return;
       }
+      int lane = 0;
+      forEachIndexInRange(nt, transHi, begin, end, [&](const MultiIndex& tidx) {
+        lineIdx[static_cast<std::size_t>(lane++)] = lineOf(tidx);
+        if (lane == B) {
+          kernelLines(*blk, lineIdx.data());
+          lane = 0;
+        }
+      });
+      for (int b = 0; b < lane; ++b) kernelLines(*one_, &lineIdx[static_cast<std::size_t>(b)]);
     });
   }
 }

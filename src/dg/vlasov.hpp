@@ -11,6 +11,13 @@
 // with the acceleration expansion rebuilt per configuration cell from the
 // EM field coefficients. There is no quadrature loop and no matrix anywhere
 // in this path.
+//
+// For specs with generated kernels (kernels/registry.hpp) and the penalty
+// flux, the cell loops call the compiled kernels: runs of B velocity cells
+// (volume) or B parallel face lines (surface) go through one B-lane call,
+// and what is left over runs through the B = 1 instantiation directly on
+// field memory. Otherwise — other specs, the central flux, and the test
+// oracle — the tapes are interpreted cell by cell.
 
 #include <span>
 #include <string>
@@ -70,31 +77,23 @@ class VlasovUpdater {
   /// True when this updater dispatches to pre-generated compiled kernels
   /// (available for registered specs with the penalty flux, which the
   /// generated surface kernels bake in) instead of interpreting the tapes.
-  [[nodiscard]] bool usesCompiledKernels() const { return compiled_ != nullptr; }
+  [[nodiscard]] bool usesCompiledKernels() const { return one_ != nullptr; }
 
   /// Force tape interpretation even when compiled kernels are registered
-  /// (used by tests and the codegen ablation benchmark). Also disables the
-  /// batched path (batched kernels are compiled kernels).
-  void disableCompiledKernels() {
-    compiled_ = nullptr;
-    batchLanes_ = 1;
-  }
+  /// (used by tests and the codegen ablation benchmark).
+  void disableCompiledKernels();
 
-  /// SIMD batch width request: 0 = auto (largest registered batched lane
-  /// count, the default), 1 = scalar cell loop (bitwise identical to the
-  /// pre-batching code path), or a kKernelBatchLanes entry. Requests the
-  /// registry cannot serve fall back to scalar. The batched path is itself
-  /// bitwise identical to scalar per cell, so this knob only affects
-  /// speed; it exists for A/B benchmarking and bisection.
-  void setBatchLanes(int lanes) { batchLanes_ = lanes; }
+  /// Lane-count request for the compiled kernels: 0 = auto (the widest
+  /// registered lane count, the default), 1 = the B = 1 instantiation on
+  /// every cell, or another kKernelLanes entry. Requests the registry
+  /// cannot serve fall back to B = 1. Cells and faces that do not fill a
+  /// block always run at B = 1. Every lane count is bitwise identical per
+  /// cell, so this knob only affects speed; it exists for A/B benchmarking
+  /// and bisection.
+  void setBatchLanes(int lanes);
 
-  /// The lane count advance() actually runs with (1 = scalar path).
-  [[nodiscard]] int activeBatchLanes() const {
-    if (!compiled_ || batchLanes_ == 1) return 1;
-    const int avail = compiled_->maxBatchLanes(ks_->cdim, ks_->vdim);
-    if (batchLanes_ == 0) return avail > 1 ? avail : 1;
-    return compiled_->findBatched(batchLanes_, ks_->cdim, ks_->vdim) ? batchLanes_ : 1;
-  }
+  /// The lane count advance() blocks its loops with (1 for the tape path).
+  [[nodiscard]] int activeBatchLanes() const { return block_ ? block_->lanes : 1; }
 
   /// Volume-term-only update (streaming + acceleration), used by the
   /// kernel-cost benchmarks (Fig. 2) and tests.
@@ -109,19 +108,15 @@ class VlasovUpdater {
   [[nodiscard]] ThreadExec* executor() const { return exec_; }
 
  private:
-  /// The SIMD-batched kernel set advance() dispatches to (nullptr: scalar
-  /// cell loops). Deterministic, so the volume and surface passes resolve
-  /// it independently and agree.
-  [[nodiscard]] const VlasovBatchedKernels* batchedKernels() const;
-
   const VlasovKernelSet* ks_;
-  const VlasovCompiledKernels* compiled_ = nullptr;
+  const CompiledKernels* compiled_ = nullptr;  ///< registry entry (nullptr: tape path)
+  const CompiledKernelSet* one_ = nullptr;     ///< B = 1 set (nullptr: tape path)
+  const CompiledKernelSet* block_ = nullptr;   ///< set the cell loops block with
   ThreadExec* exec_ = nullptr;
   Grid grid_;
   VlasovParams params_;
   double qbym_;
   std::array<double, kMaxDim> dxv_{};  ///< per-dimension cell sizes
-  int batchLanes_ = 0;                 ///< requested SIMD batch width (0 = auto)
   std::string specName_;               ///< basis spec name (dispatch diagnostics)
 };
 

@@ -14,8 +14,8 @@ void registerGeneratedKernels();
 }  // namespace detail
 
 namespace {
-std::map<std::string, VlasovCompiledKernels>& table() {
-  static std::map<std::string, VlasovCompiledKernels> t;
+std::map<std::string, CompiledKernels>& table() {
+  static std::map<std::string, CompiledKernels> t;
   return t;
 }
 std::mutex& tableMutex() {
@@ -32,44 +32,21 @@ void ensureGeneratedRegistered() {
 }
 }  // namespace
 
-const VlasovCompiledKernels* findCompiledKernels(const std::string& specName) {
+const CompiledKernels* findCompiledKernels(const std::string& specName) {
   ensureGeneratedRegistered();
   std::scoped_lock lock(tableMutex());
   const auto it = table().find(specName);
   return it == table().end() ? nullptr : &it->second;
 }
 
-void registerCompiledKernels(const std::string& specName, const VlasovCompiledKernels& k) {
+void registerCompiledKernels(const std::string& specName, const CompiledKernels& k) {
   std::scoped_lock lock(tableMutex());
-  auto [it, inserted] = table().try_emplace(specName);
+  const auto [it, inserted] = table().insert_or_assign(specName, k);
   if (!inserted) {
-    // A batched translation unit may legitimately have created the entry
-    // first; only a previously-registered *scalar* set counts as a
-    // duplicate. Keep whatever batched slots are already attached.
-    if (it->second.streamVol != nullptr) {
-      ++duplicateCount();
-      std::cerr << "vdg: warning: duplicate compiled-kernel registration for spec '" << specName
-                << "' (last registration wins)\n";
-    }
+    ++duplicateCount();
+    std::cerr << "vdg: warning: duplicate compiled-kernel registration for spec '" << specName
+              << "' (last registration wins)\n";
   }
-  VlasovBatchedKernels saved[kNumKernelBatchLanes];
-  for (int i = 0; i < kNumKernelBatchLanes; ++i) saved[i] = it->second.batched[i];
-  it->second = k;
-  for (int i = 0; i < kNumKernelBatchLanes; ++i)
-    if (it->second.batched[i].lanes == 0 && saved[i].lanes != 0) it->second.batched[i] = saved[i];
-}
-
-void registerBatchedKernels(const std::string& specName, const VlasovBatchedKernels& b) {
-  std::scoped_lock lock(tableMutex());
-  VlasovCompiledKernels& entry = table()[specName];
-  for (int i = 0; i < kNumKernelBatchLanes; ++i) {
-    if (kKernelBatchLanes[i] == b.lanes) {
-      entry.batched[i] = b;
-      return;
-    }
-  }
-  std::cerr << "vdg: warning: batched-kernel registration for spec '" << specName
-            << "' with unsupported lane count " << b.lanes << " ignored\n";
 }
 
 int numCompiledKernelSets() {
@@ -94,29 +71,30 @@ std::vector<std::string> describeCompiledKernelSpecs() {
   lines.reserve(table().size());
   for (const auto& [name, k] : table()) {
     std::ostringstream os;
-    os << name << ": " << k.numPhaseModes << " modes";
-    bool any = false;
-    for (const VlasovBatchedKernels& b : k.batched) {
-      if (b.lanes == 0) continue;
-      os << (any ? "," : ", batch lanes {") << b.lanes;
-      any = true;
+    os << name << ": " << k.numPhaseModes << " modes, lanes {";
+    bool first = true;
+    for (const CompiledKernelSet& set : k.sets) {
+      if (set.lanes == 0) continue;
+      os << (first ? "" : ",") << set.lanes;
+      first = false;
     }
-    os << (any ? "}" : ", scalar only");
+    os << "}";
     lines.push_back(os.str());
   }
   return lines;
 }
 
-void logKernelDispatch(const std::string& specName, bool compiled, int batchLanes) {
+void logKernelDispatch(const std::string& specName, bool compiled, int lanes) {
   static std::set<std::string> logged;
   static std::mutex m;
   std::ostringstream os;
-  os << "vdg: kernels: " << specName << " -> "
-     << (compiled ? "compiled" : "tape-interpreted");
-  if (batchLanes > 1)
-    os << ", batched B=" << batchLanes << " (AoSoA lane loop active)";
+  os << "vdg: kernels: " << specName << " -> ";
+  if (!compiled)
+    os << "tape-interpreted, scalar cell loop";
+  else if (lanes > 1)
+    os << "compiled, batched B=" << lanes << " (AoSoA lane loop active)";
   else
-    os << ", scalar cell loop";
+    os << "compiled, B=1 cell loop";
   const std::string line = os.str();
   std::scoped_lock lock(m);
   if (logged.insert(line).second) std::cerr << line << "\n";

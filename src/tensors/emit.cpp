@@ -23,23 +23,19 @@ std::string num(double v) {
   return s;
 }
 
-/// Array-element rendering for the two emission modes. Scalar kernels
-/// address one cell: `f[3]`. Batched kernels address an AoSoA block of B
-/// cells (mode-major, lane-minor) from inside a `for (int b...)` lane
-/// loop: `f[3*B+b]`.
-struct Lane {
-  bool on = false;
-  [[nodiscard]] std::string at(const std::string& arr, int i) const {
-    return arr + "[" + std::to_string(i) + (on ? "*B+b]" : "]");
-  }
-};
+/// Array-element rendering: kernels address an AoSoA block of B cells
+/// (mode-major, lane-minor) from inside a `for (int b...)` lane loop, so
+/// element 3 of the current lane is `f[3*B+b]`.
+std::string at(const std::string& arr, int i) {
+  return arr + "[" + std::to_string(i) + "*B+b]";
+}
 
 /// Accumulates source text plus operation counts.
 struct CodeWriter {
   std::ostringstream os;
   std::size_t mults = 0;
   std::size_t adds = 0;
-  std::string indent = "  ";  ///< batched bodies sit inside the lane loop
+  std::string indent = "    ";  ///< bodies sit inside the lane loop
 
   void line(const std::string& s) { os << s << "\n"; }
   void body(const std::string& s) { os << indent << s << "\n"; }
@@ -77,18 +73,35 @@ std::string fnPrefix(const BasisSpec& spec) { return "vlasov_" + spec.name(); }
 /// page (and its read-around) inside every kernel file.
 constexpr const char* kRegisterSignature = "__attribute__((cold)) void registerKernels() {\n";
 
-/// Parameter-list rendering: batched kernels take __restrict-qualified
-/// pointers (the pack/scatter layer guarantees disjoint buffers), which
-/// lets the compiler vectorize the lane loop without alias versioning.
-std::string params(const Lane& lane, std::initializer_list<std::pair<const char*, const char*>> ps) {
+/// Parameter-list rendering: kernels take __restrict-qualified pointers
+/// (callers pass disjoint buffers), which lets the compiler vectorize the
+/// lane loop without alias versioning.
+std::string params(std::initializer_list<std::pair<const char*, const char*>> ps) {
   std::string s;
   bool first = true;
   for (const auto& [type, name] : ps) {
     if (!first) s += ", ";
     first = false;
-    s += std::string(type) + (lane.on ? "* __restrict " : "* ") + name;
+    s += std::string(type) + "* __restrict " + name;
   }
   return s;
+}
+
+/// Opening lines of every kernel: the `template <int B>` signature.
+void openKernel(CodeWriter& w, const std::string& name,
+                std::initializer_list<std::pair<const char*, const char*>> ps) {
+  w.line("template <int B>");
+  w.line("void " + name + "(" + params(ps) + ") {");
+}
+
+/// Closing lines of every kernel: the end of the lane loop and the body.
+EmittedKernel closeKernel(CodeWriter& w, EmittedKernel out, bool laneLoop = true) {
+  if (laneLoop) w.line("  }");
+  w.line("}");
+  out.source = w.os.str();
+  out.multiplies = w.mults;
+  out.adds = w.adds;
+  return out;
 }
 
 /// Gather tape terms grouped by output index l.
@@ -101,45 +114,31 @@ std::map<int, std::vector<typename Tape::Term>> groupByOut(const Tape& tape) {
 
 }  // namespace
 
-EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec, bool batched) {
+EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const int np = ks.numPhaseModes;
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName = fnPrefix(spec) + "_stream_vol" + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_stream_vol";
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Volume streaming kernel (exact DG volume integral of div_x (v f)),");
   w.line("// auto-generated for the " + spec.name() + " basis (" + std::to_string(np) +
          " DOF/cell).");
-  if (batched) {
-    w.line("// Batched AoSoA variant: arrays hold B cells mode-major/lane-minor");
-    w.line("// ([i*B+b]); per lane the FP operation order matches the scalar kernel.");
-    w.line("template <int B>");
-  } else {
-    w.line("// Inputs: cell center w, cell size dxv, distribution coefficients f;");
-    w.line("// out is incremented with the forward-Euler volume contribution.");
-  }
-  w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "w"},
-                       {"const double", "dxv"},
-                       {"const double", "f"},
-                       {"double", "out"}}) +
-         ") {");
+  w.line("// Inputs: cell centers w, cell size dxv, distribution coefficients f;");
+  w.line("// out is incremented with the forward-Euler volume contribution.");
+  openKernel(w, out.functionName,
+             {{"const double", "w"}, {"const double", "dxv"}, {"const double", "f"},
+              {"double", "out"}});
   for (int d = 0; d < ks.cdim; ++d) {
     const int vd = ks.cdim + d;
     const std::string sd = std::to_string(d);
     w.line("  const double rdx2_" + sd + " = 2.0/dxv[" + sd + "];");
-    if (!batched) w.line("  const double wv_" + sd + " = w[" + std::to_string(vd) + "];");
     w.line("  const double hdv_" + sd + " = 0.5*dxv[" + std::to_string(vd) + "];");
     w.mults += 2;
   }
-  if (batched) {
-    w.line("  for (int b = 0; b < B; ++b) {");
-    for (int d = 0; d < ks.cdim; ++d)
-      w.body("const double wv_" + std::to_string(d) + " = " + lane.at("w", ks.cdim + d) + ";");
-  }
+  w.line("  for (int b = 0; b < B; ++b) {");
+  for (int d = 0; d < ks.cdim; ++d)
+    w.body("const double wv_" + std::to_string(d) + " = " + at("w", ks.cdim + d) + ";");
   for (int l = 0; l < np; ++l) {
     for (int d = 0; d < ks.cdim; ++d) {
       // (c0*wv + c1*hdv) * f[n], gathered per n.
@@ -162,50 +161,36 @@ EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec, bool batched) {
         std::vector<std::pair<double, std::string>> parts;
         if (c0 != 0.0) parts.emplace_back(c0, "wv_" + sd);
         if (c1 != 0.0) parts.emplace_back(c1, "hdv_" + sd);
-        expr += "(" + w.sum(parts) + ")*" + lane.at("f", n);
+        expr += "(" + w.sum(parts) + ")*" + at("f", n);
         ++w.mults;
       }
-      w.body(lane.at("out", l) + " += rdx2_" + sd + "*(" + expr + ");");
+      w.body(at("out", l) + " += rdx2_" + sd + "*(" + expr + ");");
       ++w.mults;
     }
   }
-  if (batched) w.line("  }");
-  w.line("}");
-  out.source = w.os.str();
-  out.multiplies = w.mults;
-  out.adds = w.adds;
-  return out;
+  return closeKernel(w, out);
 }
 
-EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched) {
+EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const int np = ks.numPhaseModes;
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName = fnPrefix(spec) + "_accel_vol" + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_accel_vol";
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Volume acceleration kernel (exact DG volume integral of div_v (alpha f));");
   w.line("// alpha is the per-cell phase-space flux expansion, vdim x " + std::to_string(np) +
          " coefficients.");
-  if (batched) {
-    w.line("// Batched AoSoA variant (B cells per call, lane-minor layout).");
-    w.line("template <int B>");
-  }
-  w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "dxv"},
-                       {"const double", "alpha"},
-                       {"const double", "f"},
-                       {"double", "out"}}) +
-         ") {");
+  openKernel(w, out.functionName,
+             {{"const double", "dxv"}, {"const double", "alpha"}, {"const double", "f"},
+              {"double", "out"}});
   for (int j = 0; j < ks.vdim; ++j) {
     const int d = ks.cdim + j;
     w.line("  const double rdv2_" + std::to_string(j) + " = 2.0/dxv[" + std::to_string(d) +
            "];");
     ++w.mults;
   }
-  if (batched) w.line("  for (int b = 0; b < B; ++b) {");
+  w.line("  for (int b = 0; b < B; ++b) {");
   for (int j = 0; j < ks.vdim; ++j) {
     const int d = ks.cdim + j;
     const auto grouped = groupByOut(ks.volume[static_cast<std::size_t>(d)]);
@@ -221,31 +206,26 @@ EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched) {
           expr += "-";
         }
         const double a = t.c < 0 ? -t.c : t.c;
-        expr += num(a) + "*" + lane.at("alpha", off + t.m) + "*" + lane.at("f", t.n);
+        expr += num(a) + "*" + at("alpha", off + t.m) + "*" + at("f", t.n);
         w.mults += 2;
       }
-      w.body(lane.at("out", l) + " += rdv2_" + std::to_string(j) + "*(" + expr + ");");
+      w.body(at("out", l) + " += rdv2_" + std::to_string(j) + "*(" + expr + ");");
       ++w.mults;
     }
   }
-  if (batched) w.line("  }");
-  w.line("}");
-  out.source = w.os.str();
-  out.multiplies = w.mults;
-  out.adds = w.adds;
-  return out;
+  return closeKernel(w, out);
 }
 
 namespace {
 
 /// Emit face-trace assignments: name_k = sum psiEnd * src[l], one local
-/// variable per face mode (per lane in batched mode; only the face modes
-/// `only` marks, when given).
+/// variable per face mode and lane (only the face modes `only` marks, when
+/// given).
 void emitTrace(CodeWriter& w, const FaceMap& fm, const std::string& name, const std::string& src,
-               bool plusSide, const Lane& lane, const std::vector<bool>* only = nullptr) {
+               bool plusSide, const std::vector<bool>* only = nullptr) {
   std::map<int, std::vector<std::pair<double, std::string>>> byFace;
   for (const FaceMap::Entry& e : fm.entries)
-    byFace[e.face].emplace_back(plusSide ? e.atPlus : e.atMinus, lane.at(src, e.vol));
+    byFace[e.face].emplace_back(plusSide ? e.atPlus : e.atMinus, at(src, e.vol));
   for (int k = 0; k < fm.numFaceModes; ++k) {
     if (only && !(*only)[static_cast<std::size_t>(k)]) continue;
     auto it = byFace.find(k);
@@ -255,12 +235,12 @@ void emitTrace(CodeWriter& w, const FaceMap& fm, const std::string& name, const 
 }
 
 /// Emit the two diagonal lifts of fhat into outl/outr.
-void emitLifts(CodeWriter& w, const FaceMap& fm, const std::string& rdx2, const Lane& lane) {
+void emitLifts(CodeWriter& w, const FaceMap& fm, const std::string& rdx2) {
   for (const FaceMap::Entry& e : fm.entries) {
     // outl[l] -= rdx2 * psiEnd(+1) * fhat_k ; outr[l] += rdx2 * psiEnd(-1) * fhat_k.
-    w.body(lane.at("outl", e.vol) + " -= " + rdx2 + "*" + num(e.atPlus) + "*fhat" +
+    w.body(at("outl", e.vol) + " -= " + rdx2 + "*" + num(e.atPlus) + "*fhat" +
            std::to_string(e.face) + ";");
-    w.body(lane.at("outr", e.vol) + " += " + rdx2 + "*" + num(e.atMinus) + "*fhat" +
+    w.body(at("outr", e.vol) + " += " + rdx2 + "*" + num(e.atMinus) + "*fhat" +
            std::to_string(e.face) + ";");
     w.mults += 4;
   }
@@ -268,44 +248,29 @@ void emitLifts(CodeWriter& w, const FaceMap& fm, const std::string& rdx2, const 
 
 }  // namespace
 
-EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir, bool batched) {
+EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const FaceMap& fm = ks.faceMap[static_cast<std::size_t>(dir)];
   const int nf = fm.numFaceModes;
   const int vd = ks.cdim + dir;
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName =
-      fnPrefix(spec) + "_stream_surf" + std::to_string(dir) + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_stream_surf" + std::to_string(dir);
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Surface streaming kernel, configuration direction " + std::to_string(dir) + ":");
   w.line("// local Lax-Friedrichs flux Fhat = v favg - (tau/2)(fr - fl) on the shared");
   w.line("// face, lifted into both adjacent cells (fl: left/lower cell, fr: right).");
-  if (batched) {
-    w.line("// Batched AoSoA variant (B faces per call, lane-minor layout).");
-    w.line("template <int B>");
-  }
-  w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "w"},
-                       {"const double", "dxv"},
-                       {"const double", "fl"},
-                       {"const double", "fr"},
-                       {"double", "outl"},
-                       {"double", "outr"}}) +
-         ") {");
+  openKernel(w, out.functionName,
+             {{"const double", "w"}, {"const double", "dxv"}, {"const double", "fl"},
+              {"const double", "fr"}, {"double", "outl"}, {"double", "outr"}});
   w.line("  const double rdx2 = 2.0/dxv[" + std::to_string(dir) + "];");
-  if (!batched) w.line("  const double wv = w[" + std::to_string(vd) + "];");
   w.line("  const double hdv = 0.5*dxv[" + std::to_string(vd) + "];");
-  if (batched) {
-    w.line("  for (int b = 0; b < B; ++b) {");
-    w.body("const double wv = " + lane.at("w", vd) + ";");
-  }
+  w.line("  for (int b = 0; b < B; ++b) {");
+  w.body("const double wv = " + at("w", vd) + ";");
   w.body("const double tau = std::fmax(std::fabs(wv - hdv), std::fabs(wv + hdv));");
   w.mults += 3;
-  emitTrace(w, fm, "fL", "fl", /*plusSide=*/true, lane);
-  emitTrace(w, fm, "fR", "fr", /*plusSide=*/false, lane);
+  emitTrace(w, fm, "fL", "fl", /*plusSide=*/true);
+  emitTrace(w, fm, "fR", "fr", /*plusSide=*/false);
   for (int k = 0; k < nf; ++k) {
     const std::string sk = std::to_string(k);
     w.body("const double favg" + sk + " = 0.5*(fL" + sk + " + fR" + sk + ");");
@@ -326,51 +291,34 @@ EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir, bool ba
     w.adds += 3;
     w.body("const double fhat" + sk + " = " + expr + ";");
   }
-  emitLifts(w, fm, "rdx2", lane);
-  if (batched) w.line("  }");
-  w.line("}");
-  out.source = w.os.str();
-  out.multiplies = w.mults;
-  out.adds = w.adds;
-  return out;
+  emitLifts(w, fm, "rdx2");
+  return closeKernel(w, out);
 }
 
-EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j, bool batched) {
+EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const int d = ks.cdim + j;
   const FaceMap& fm = ks.faceMap[static_cast<std::size_t>(d)];
   const int nf = fm.numFaceModes;
   const std::vector<double>& sup = ks.faceSup[static_cast<std::size_t>(d)];
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName =
-      fnPrefix(spec) + "_accel_surf" + std::to_string(j) + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_accel_surf" + std::to_string(j);
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// Surface acceleration kernel, velocity direction " + std::to_string(j) + ":");
   w.line("// per-side flux expansions (paper Eq. 5) with a local Lax-Friedrichs");
   w.line("// penalty bounded by the coefficient-sup estimate of |alpha| on the face.");
-  if (batched) {
-    w.line("// Batched AoSoA variant (B faces per call, lane-minor layout).");
-    w.line("template <int B>");
-  }
-  w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "dxv"},
-                       {"const double", "al"},
-                       {"const double", "ar"},
-                       {"const double", "fl"},
-                       {"const double", "fr"},
-                       {"double", "outl"},
-                       {"double", "outr"}}) +
-         ") {");
+  openKernel(w, out.functionName,
+             {{"const double", "dxv"}, {"const double", "al"}, {"const double", "ar"},
+              {"const double", "fl"}, {"const double", "fr"}, {"double", "outl"},
+              {"double", "outr"}});
   w.line("  const double rdx2 = 2.0/dxv[" + std::to_string(d) + "];");
   ++w.mults;
-  if (batched) w.line("  for (int b = 0; b < B; ++b) {");
-  emitTrace(w, fm, "fL", "fl", true, lane);
-  emitTrace(w, fm, "fR", "fr", false, lane);
-  emitTrace(w, fm, "aL", "al", true, lane);
-  emitTrace(w, fm, "aR", "ar", false, lane);
+  w.line("  for (int b = 0; b < B; ++b) {");
+  emitTrace(w, fm, "fL", "fl", true);
+  emitTrace(w, fm, "fR", "fr", false);
+  emitTrace(w, fm, "aL", "al", true);
+  emitTrace(w, fm, "aR", "ar", false);
   {
     std::string bl = "0.0", br = "0.0";
     for (int k = 0; k < nf; ++k) {
@@ -410,13 +358,8 @@ EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j, bool batched)
     w.mults += 2;
     w.adds += 2;
   }
-  emitLifts(w, fm, "rdx2", lane);
-  if (batched) w.line("  }");
-  w.line("}");
-  out.source = w.os.str();
-  out.multiplies = w.mults;
-  out.adds = w.adds;
-  return out;
+  emitLifts(w, fm, "rdx2");
+  return closeKernel(w, out);
 }
 
 namespace {
@@ -461,7 +404,7 @@ LboDir lboDir(const VlasovKernelSet& ks, int j) {
 
 /// Emit the lane-invariant face trace of the diffusion coefficient,
 /// dF<k> = sum c * vtSq[k'] (one local per structurally nonzero face
-/// mode). Batched kernels emit it ahead of the lane loop.
+/// mode), ahead of the lane loop.
 void emitDiffFace(CodeWriter& w, const LboDir& dir) {
   for (const auto& [k, terms] : dir.dFace)
     w.line("  const double dF" + std::to_string(k) + " = " + w.sum(terms) + ";");
@@ -512,61 +455,39 @@ std::vector<bool> emitProduct(CodeWriter& w, const DiffProduct& prod, const std:
 /// Opening lines shared by the LBO diffusion kernels: comment block,
 /// signature, the squared velocity-space scale s2 = (2/dv)^2 and the
 /// coefficient's face trace.
-void openDiffKernel(CodeWriter& w, const EmittedKernel& out, const Lane& lane,
+void openDiffKernel(CodeWriter& w, const EmittedKernel& out,
                     const std::vector<std::string>& comment,
                     std::initializer_list<std::pair<const char*, const char*>> ps,
                     const LboDir& dir) {
   for (const std::string& c : comment) w.line("// " + c);
-  if (lane.on) {
-    w.line("// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is");
-    w.line("// shared by every lane (one configuration cell per block).");
-    w.line("template <int B>");
-  }
-  w.line("void " + out.functionName + "(" + params(lane, ps) + ") {");
+  w.line("// vtSq is shared by every lane (one configuration cell per block).");
+  openKernel(w, out.functionName, ps);
   w.line("  const double rdx2 = 2.0/dxv[" + std::to_string(dir.d) + "];");
   w.line("  const double s2 = rdx2*rdx2;");
   w.mults += 1;
   emitDiffFace(w, dir);
-  if (lane.on) w.line("  for (int b = 0; b < B; ++b) {");
-}
-
-EmittedKernel closeKernel(CodeWriter& w, EmittedKernel out, const Lane& lane) {
-  if (lane.on) w.line("  }");
-  w.line("}");
-  out.source = w.os.str();
-  out.multiplies = w.mults;
-  out.adds = w.adds;
-  return out;
+  w.line("  for (int b = 0; b < B; ++b) {");
 }
 
 }  // namespace
 
-EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec, bool batched) {
+EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
-  const Lane lane{batched};
   std::vector<int> confOf(static_cast<std::size_t>(ks.numPhaseModes), -1);
   for (int k = 0; k < ks.numConfModes; ++k)
     confOf[static_cast<std::size_t>(ks.embedIdx[static_cast<std::size_t>(k)])] = k;
 
   EmittedKernel out;
-  out.functionName = fnPrefix(spec) + "_lbo_diff_vol" + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_lbo_diff_vol";
   CodeWriter w;
-  if (batched) w.indent = "    ";
   w.line("// LBO diffusion volume kernel: exact DG volume integral of the twice");
   w.line("// integrated-by-parts diffusion term, sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f,");
   w.line("// with D = vtSq the configuration-space vth^2 expansion (" +
          std::to_string(ks.numConfModes) + " coefficients).");
-  if (batched) {
-    w.line("// Batched AoSoA variant (B cells per call, lane-minor layout); vtSq is");
-    w.line("// shared by every lane (one configuration cell per block).");
-    w.line("template <int B>");
-  }
-  w.line("void " + out.functionName + "(" +
-         params(lane, {{"const double", "dxv"},
-                       {"const double", "vtSq"},
-                       {"const double", "f"},
-                       {"double", "out"}}) +
-         ") {");
+  w.line("// vtSq is shared by every lane (one configuration cell per block).");
+  openKernel(w, out.functionName,
+             {{"const double", "dxv"}, {"const double", "vtSq"}, {"const double", "f"},
+              {"double", "out"}});
   // (sum_k c_lkn vtSq[k]) * f[n], gathered per direction, output l, input n.
   std::vector<std::map<int, std::map<int, std::vector<std::pair<double, std::string>>>>> terms(
       static_cast<std::size_t>(ks.vdim));
@@ -582,7 +503,7 @@ EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec, bool batched) {
   if (!any) {
     // p = 1: the second derivative of every basis function vanishes.
     w.line("  (void)dxv; (void)vtSq; (void)f; (void)out;");
-    return closeKernel(w, out, Lane{});
+    return closeKernel(w, out, /*laneLoop=*/false);
   }
   for (int j = 0; j < ks.vdim; ++j) {
     const std::string sj = std::to_string(j);
@@ -590,7 +511,7 @@ EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec, bool batched) {
     w.line("  const double s2_" + sj + " = rdv2_" + sj + "*rdv2_" + sj + ";");
     w.mults += 2;
   }
-  if (batched) w.line("  for (int b = 0; b < B; ++b) {");
+  w.line("  for (int b = 0; b < B; ++b) {");
   for (int j = 0; j < ks.vdim; ++j) {
     for (const auto& [l, byN] : terms[static_cast<std::size_t>(j)]) {
       std::string expr;
@@ -599,31 +520,28 @@ EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec, bool batched) {
           expr += " + ";
           ++w.adds;
         }
-        expr += "(" + w.sum(terms) + ")*" + lane.at("f", n);
+        expr += "(" + w.sum(terms) + ")*" + at("f", n);
         ++w.mults;
       }
-      w.body(lane.at("out", l) + " += s2_" + std::to_string(j) + "*(" + expr + ");");
+      w.body(at("out", l) + " += s2_" + std::to_string(j) + "*(" + expr + ");");
       ++w.mults;
     }
   }
-  return closeKernel(w, out, lane);
+  return closeKernel(w, out);
 }
 
-EmittedKernel emitLboDiffSurfaceKernel(const BasisSpec& spec, int j, bool batched) {
+EmittedKernel emitLboDiffSurfaceKernel(const BasisSpec& spec, int j) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const LboDir dir = lboDir(ks, j);
   const FaceMap& fm = *dir.fm;
   const int p1 = spec.polyOrder + 1;
   const RecoveryWeights rec = buildRecoveryWeights(spec.polyOrder);
-  const Lane lane{batched};
 
   EmittedKernel out;
-  out.functionName =
-      fnPrefix(spec) + "_lbo_diff_surf" + std::to_string(j) + (batched ? "_bat" : "");
+  out.functionName = fnPrefix(spec) + "_lbo_diff_surf" + std::to_string(j);
   CodeWriter w;
-  if (batched) w.indent = "    ";
   openDiffKernel(
-      w, out, lane,
+      w, out,
       {"LBO diffusion surface kernel, velocity direction " + std::to_string(j) + ": the recovery",
        "polynomial of the two cells sharing the face gives the interface value rv",
        "and slope rd; the flux term [w D df/deta] and the value term",
@@ -644,10 +562,10 @@ EmittedKernel emitLboDiffSurfaceKernel(const BasisSpec& spec, int j, bool batche
       const int l = dir.slice[static_cast<std::size_t>(k * p1 + m)];
       if (l < 0) continue;
       const auto sm = static_cast<std::size_t>(m);
-      val.emplace_back(rec.valL[sm], lane.at("fl", l));
-      val.emplace_back(rec.valR[sm], lane.at("fr", l));
-      der.emplace_back(rec.derivL[sm], lane.at("fl", l));
-      der.emplace_back(rec.derivR[sm], lane.at("fr", l));
+      val.emplace_back(rec.valL[sm], at("fl", l));
+      val.emplace_back(rec.valR[sm], at("fr", l));
+      der.emplace_back(rec.derivL[sm], at("fl", l));
+      der.emplace_back(rec.derivR[sm], at("fr", l));
     }
     if (prodV.reads[static_cast<std::size_t>(k)])
       w.body("const double rv" + std::to_string(k) + " = " + w.sum(val) + ";");
@@ -672,26 +590,24 @@ EmittedKernel emitLboDiffSurfaceKernel(const BasisSpec& spec, int j, bool batche
       right.emplace_back(dir.derivMinus[sl], "pV" + sk);
     }
     if (left.empty()) continue;
-    w.body(lane.at("outl", e.vol) + " += s2*(" + w.sum(left) + ");");
-    w.body(lane.at("outr", e.vol) + " += s2*(" + w.sum(right) + ");");
+    w.body(at("outl", e.vol) + " += s2*(" + w.sum(left) + ");");
+    w.body(at("outr", e.vol) + " += s2*(" + w.sum(right) + ");");
     w.mults += 2;
   }
-  return closeKernel(w, out, lane);
+  return closeKernel(w, out);
 }
 
-EmittedKernel emitLboDiffBoundaryKernel(const BasisSpec& spec, int j, int side, bool batched) {
+EmittedKernel emitLboDiffBoundaryKernel(const BasisSpec& spec, int j, int side) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   const LboDir dir = lboDir(ks, j);
-  const Lane lane{batched};
   const bool upper = side > 0;
 
   EmittedKernel out;
-  out.functionName = fnPrefix(spec) + "_lbo_diff_bnd" + std::to_string(j) +
-                     (upper ? "_up" : "_lo") + (batched ? "_bat" : "");
+  out.functionName =
+      fnPrefix(spec) + "_lbo_diff_bnd" + std::to_string(j) + (upper ? "_up" : "_lo");
   CodeWriter w;
-  if (batched) w.indent = "    ";
   openDiffKernel(
-      w, out, lane,
+      w, out,
       {"LBO diffusion boundary kernel, velocity direction " + std::to_string(j) + ", " +
            (upper ? "upper" : "lower") + " domain face:",
        "zero-flux closure. The flux term is dropped; the value term uses the",
@@ -699,59 +615,46 @@ EmittedKernel emitLboDiffBoundaryKernel(const BasisSpec& spec, int j, int side, 
       {{"const double", "dxv"}, {"const double", "vtSq"}, {"const double", "f"}, {"double", "out"}},
       dir);
   const DiffProduct prod = diffProduct(ks, dir, "tr", valueTermModes(dir));
-  emitTrace(w, *dir.fm, "tr", "f", upper, lane, &prod.reads);
+  emitTrace(w, *dir.fm, "tr", "f", upper, &prod.reads);
   const std::vector<bool> has = emitProduct(w, prod, "pV");
   for (const FaceMap::Entry& e : dir.fm->entries) {
     const auto sl = static_cast<std::size_t>(e.vol);
     const double c = upper ? -dir.derivPlus[sl] : dir.derivMinus[sl];
     if (!has[static_cast<std::size_t>(e.face)] || c == 0.0) continue;
-    w.body(lane.at("out", e.vol) + " += s2*(" +
-           w.sum({{c, "pV" + std::to_string(e.face)}}) + ");");
+    w.body(at("out", e.vol) + " += s2*(" + w.sum({{c, "pV" + std::to_string(e.face)}}) + ");");
     ++w.mults;
   }
-  return closeKernel(w, out, lane);
+  return closeKernel(w, out);
 }
 
 namespace {
 
 /// Every kernel of one spec's translation unit, in emission order.
-std::vector<EmittedKernel> emitAllKernels(const BasisSpec& spec, bool batched) {
+std::vector<EmittedKernel> emitAllKernels(const BasisSpec& spec) {
   const VlasovKernelSet& ks = vlasovKernels(spec);
   std::vector<EmittedKernel> kernels;
-  kernels.push_back(emitStreamingVolumeKernel(spec, batched));
-  kernels.push_back(emitAccelVolumeKernel(spec, batched));
-  for (int d = 0; d < ks.cdim; ++d) kernels.push_back(emitStreamingSurfaceKernel(spec, d, batched));
-  for (int j = 0; j < ks.vdim; ++j) kernels.push_back(emitAccelSurfaceKernel(spec, j, batched));
-  kernels.push_back(emitLboDiffVolumeKernel(spec, batched));
+  kernels.push_back(emitStreamingVolumeKernel(spec));
+  kernels.push_back(emitAccelVolumeKernel(spec));
+  for (int d = 0; d < ks.cdim; ++d) kernels.push_back(emitStreamingSurfaceKernel(spec, d));
+  for (int j = 0; j < ks.vdim; ++j) kernels.push_back(emitAccelSurfaceKernel(spec, j));
+  kernels.push_back(emitLboDiffVolumeKernel(spec));
   for (int j = 0; j < ks.vdim; ++j) {
-    kernels.push_back(emitLboDiffSurfaceKernel(spec, j, batched));
-    kernels.push_back(emitLboDiffBoundaryKernel(spec, j, -1, batched));
-    kernels.push_back(emitLboDiffBoundaryKernel(spec, j, +1, batched));
+    kernels.push_back(emitLboDiffSurfaceKernel(spec, j));
+    kernels.push_back(emitLboDiffBoundaryKernel(spec, j, -1));
+    kernels.push_back(emitLboDiffBoundaryKernel(spec, j, +1));
   }
   return kernels;
-}
-
-/// Registration lines for the LBO diffusion members of a kernel set named
-/// `var` (suffix: "" or "_bat<B>").
-std::string lboRegistration(const BasisSpec& spec, int vdim, const std::string& indent,
-                            const std::string& var, const std::string& suffix) {
-  std::ostringstream os;
-  const std::string pre = indent + var + ".lbo.";
-  os << pre << "diffVol = " << fnPrefix(spec) << "_lbo_diff_vol" << suffix << ";\n";
-  for (int j = 0; j < vdim; ++j) {
-    os << pre << "diffSurf[" << j << "] = " << fnPrefix(spec) << "_lbo_diff_surf" << j << suffix
-       << ";\n";
-    os << pre << "diffBound[" << j << "][0] = " << fnPrefix(spec) << "_lbo_diff_bnd" << j << "_lo"
-       << suffix << ";\n";
-    os << pre << "diffBound[" << j << "][1] = " << fnPrefix(spec) << "_lbo_diff_bnd" << j << "_up"
-       << suffix << ";\n";
-  }
-  return os.str();
 }
 
 }  // namespace
 
 std::string emitKernelTranslationUnit(const BasisSpec& spec) {
+  const VlasovKernelSet& ks = vlasovKernels(spec);
+  const std::string pre = fnPrefix(spec);
+  std::string laneList;
+  for (const int lanes : kKernelLanes)
+    laneList += (laneList.empty() ? "" : ",") + std::to_string(lanes);
+
   std::ostringstream os;
   os << "// ============================================================================\n"
      << "// AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.\n"
@@ -759,79 +662,47 @@ std::string emitKernelTranslationUnit(const BasisSpec& spec) {
      << "// " << spec.name() << " basis, rendered from the symbolically integrated sparse\n"
      << "// tensors with all constants folded to double precision (the paper's\n"
      << "// Maxima-CAS workflow).\n"
+     << "// Each kernel updates an AoSoA block of B cells (mode-major, lane-minor:\n"
+     << "// element i of lane b at [i*B+b]) in an inner lane loop the compiler\n"
+     << "// autovectorizes; at B = 1 the block is one cell in its plain layout. The\n"
+     << "// kernels are instantiated for B in {" << laneList << "}, and per lane the FP operation\n"
+     << "// order does not depend on B (tests/test_batch.cpp). This translation unit\n"
+     << "// is compiled with the VDG_KERNEL_SIMD flags (wider ISA + -ffp-contract=off).\n"
      << "// Regenerate with: gen_kernels <output-dir>\n"
      << "// ============================================================================\n"
      << "// clang-format off\n"
      << "#include <cmath>\n\n"
      << "#include \"kernels/registry.hpp\"\n\n"
-     << "namespace vdg::gen_" << spec.name() << " {\n\n";
+     << "namespace vdg::gen_" << spec.name() << " {\nnamespace {\n\n";
 
-  const VlasovKernelSet& ks = vlasovKernels(spec);
-  for (const EmittedKernel& k : emitAllKernels(spec, /*batched=*/false)) {
-    // Make the functions static and internal to the namespace.
-    os << "static " << k.source << "\n";
-  }
+  for (const EmittedKernel& k : emitAllKernels(spec)) os << k.source << "\n";
 
-  os << kRegisterSignature
-     << "  VlasovCompiledKernels k;\n"
-     << "  k.numPhaseModes = " << ks.numPhaseModes << ";\n"
-     << "  k.streamVol = " << fnPrefix(spec) << "_stream_vol;\n"
-     << "  k.accelVol = " << fnPrefix(spec) << "_accel_vol;\n";
+  os << "template <int B>\n"
+     << "CompiledKernelSet kernelSet() {\n"
+     << "  CompiledKernelSet k;\n"
+     << "  k.lanes = B;\n"
+     << "  k.streamVol = " << pre << "_stream_vol<B>;\n"
+     << "  k.accelVol = " << pre << "_accel_vol<B>;\n";
   for (int d = 0; d < ks.cdim; ++d)
-    os << "  k.streamSurf[" << d << "] = " << fnPrefix(spec) << "_stream_surf" << d << ";\n";
+    os << "  k.streamSurf[" << d << "] = " << pre << "_stream_surf" << d << "<B>;\n";
   for (int j = 0; j < ks.vdim; ++j)
-    os << "  k.accelSurf[" << j << "] = " << fnPrefix(spec) << "_accel_surf" << j << ";\n";
-  os << lboRegistration(spec, ks.vdim, "  ", "k", "");
+    os << "  k.accelSurf[" << j << "] = " << pre << "_accel_surf" << j << "<B>;\n";
+  os << "  k.lbo.diffVol = " << pre << "_lbo_diff_vol<B>;\n";
+  for (int j = 0; j < ks.vdim; ++j)
+    os << "  k.lbo.diffSurf[" << j << "] = " << pre << "_lbo_diff_surf" << j << "<B>;\n"
+       << "  k.lbo.diffBound[" << j << "][0] = " << pre << "_lbo_diff_bnd" << j << "_lo<B>;\n"
+       << "  k.lbo.diffBound[" << j << "][1] = " << pre << "_lbo_diff_bnd" << j << "_up<B>;\n";
+  os << "  return k;\n"
+     << "}\n\n"
+     << "}  // namespace\n\n"
+     << kRegisterSignature
+     << "  CompiledKernels k;\n"
+     << "  k.numPhaseModes = " << ks.numPhaseModes << ";\n";
+  for (int i = 0; i < kNumKernelLanes; ++i)
+    os << "  k.sets[" << i << "] = kernelSet<" << kKernelLanes[i] << ">();\n";
   os << "  registerCompiledKernels(\"" << spec.name() << "\", k);\n"
      << "}\n\n"
      << "}  // namespace vdg::gen_" << spec.name() << "\n";
-  return os.str();
-}
-
-std::string emitBatchedKernelTranslationUnit(const BasisSpec& spec) {
-  std::ostringstream os;
-  os << "// ============================================================================\n"
-     << "// AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.\n"
-     << "// SIMD-batched (AoSoA) modal DG Vlasov and LBO-diffusion kernels for the\n"
-     << "// " << spec.name() << " basis:\n"
-     << "// the scalar kernels of vlasov_" << spec.name() << ".cpp with the cell index turned\n"
-     << "// into an inner lane loop over a block of B cells (mode-major, lane-minor\n"
-     << "// layout, element i of lane b at [i*B+b]) so the compiler autovectorizes\n"
-     << "// across cells. Per lane the FP operation order is identical to the scalar\n"
-     << "// kernel — the batched path is bitwise reproducible (tests/test_batch.cpp).\n"
-     << "// This translation unit is compiled with the VDG_KERNEL_SIMD flags (wider\n"
-     << "// ISA + -ffp-contract=off); the scalar units keep the baseline ISA.\n"
-     << "// Regenerate with: gen_kernels <output-dir>\n"
-     << "// ============================================================================\n"
-     << "// clang-format off\n"
-     << "#include <cmath>\n\n"
-     << "#include \"kernels/registry.hpp\"\n\n"
-     << "namespace vdg::gen_" << spec.name() << "_batch {\nnamespace {\n\n";
-
-  const VlasovKernelSet& ks = vlasovKernels(spec);
-  for (const EmittedKernel& k : emitAllKernels(spec, /*batched=*/true)) os << k.source << "\n";
-
-  os << "}  // namespace\n\n"
-     << kRegisterSignature;
-  for (int i = 0; i < kNumKernelBatchLanes; ++i) {
-    const int lanes = kKernelBatchLanes[i];
-    os << "  {\n"
-       << "    VlasovBatchedKernels b;\n"
-       << "    b.lanes = " << lanes << ";\n"
-       << "    b.streamVol = " << fnPrefix(spec) << "_stream_vol_bat<" << lanes << ">;\n"
-       << "    b.accelVol = " << fnPrefix(spec) << "_accel_vol_bat<" << lanes << ">;\n";
-    for (int d = 0; d < ks.cdim; ++d)
-      os << "    b.streamSurf[" << d << "] = " << fnPrefix(spec) << "_stream_surf" << d
-         << "_bat<" << lanes << ">;\n";
-    for (int j = 0; j < ks.vdim; ++j)
-      os << "    b.accelSurf[" << j << "] = " << fnPrefix(spec) << "_accel_surf" << j
-         << "_bat<" << lanes << ">;\n";
-    os << lboRegistration(spec, ks.vdim, "    ", "b", "_bat<" + std::to_string(lanes) + ">");
-    os << "    registerBatchedKernels(\"" << spec.name() << "\", b);\n"
-       << "  }\n";
-  }
-  os << "}\n\n"
-     << "}  // namespace vdg::gen_" << spec.name() << "_batch\n";
   return os.str();
 }
 

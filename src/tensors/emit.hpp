@@ -42,45 +42,41 @@ struct EmittedKernel {
   std::size_t adds = 0;
 };
 
-/// Every emitter below renders a scalar (one-cell) kernel by default.
-/// With `batched = true` it renders the SIMD-batched AoSoA variant
-/// instead: a `template <int B>` function whose body wraps the same
-/// contraction in an inner lane loop over a block of B cells laid out
-/// mode-major, lane-minor (element i of lane b at [i*B+b]), with
+/// Every emitter below renders a `template <int B>` function whose body
+/// wraps the contraction in an inner lane loop over a block of B cells laid
+/// out mode-major, lane-minor (element i of lane b at [i*B+b]), with
 /// __restrict pointer parameters so the compiler autovectorizes across
-/// cells. Per lane the floating-point operation order is identical to the
-/// scalar kernel, keeping the batched path bitwise reproducible.
+/// cells. At B = 1 the block is one cell in its plain layout. Per lane the
+/// floating-point operation order does not depend on B, so every
+/// instantiation is bitwise reproducible against B = 1.
 
 /// Volume streaming kernel: the exact DG volume integral of div_x (v f)
 /// over all configuration directions (the paper's Fig. 1 kernel shape).
 ///   void f(const double* w, const double* dxv, const double* f, double* out)
-[[nodiscard]] EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec,
-                                                     bool batched = false);
+[[nodiscard]] EmittedKernel emitStreamingVolumeKernel(const BasisSpec& spec);
 
 /// Volume acceleration kernel: div_v (alpha f) over all velocity
 /// directions; `alpha` is the per-cell flux expansion (vdim * Np).
 ///   void f(const double* dxv, const double* alpha, const double* f, double* out)
-[[nodiscard]] EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec, bool batched = false);
+[[nodiscard]] EmittedKernel emitAccelVolumeKernel(const BasisSpec& spec);
 
 /// Surface streaming kernel for configuration direction `dir`: evaluates
 /// the penalty (local Lax-Friedrichs) numerical flux on the shared face of
 /// a left/right cell pair and lifts it into both cells.
 ///   void f(const double* w, const double* dxv,
 ///          const double* fl, const double* fr, double* outl, double* outr)
-[[nodiscard]] EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir,
-                                                      bool batched = false);
+[[nodiscard]] EmittedKernel emitStreamingSurfaceKernel(const BasisSpec& spec, int dir);
 
 /// Surface acceleration kernel for velocity direction `j` (phase dir
 /// cdim + j), with per-side flux expansions as in paper Eq. 5.
 ///   void f(const double* dxv, const double* al, const double* ar,
 ///          const double* fl, const double* fr, double* outl, double* outr)
-[[nodiscard]] EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j,
-                                                  bool batched = false);
+[[nodiscard]] EmittedKernel emitAccelSurfaceKernel(const BasisSpec& spec, int j);
 
 /// LBO diffusion volume kernel: sum_j (2/dv_j)^2 int d2w_l/deta_j^2 D f
 /// with D the configuration-space coefficient expansion vtSq.
 ///   void f(const double* dxv, const double* vtSq, const double* f, double* out)
-[[nodiscard]] EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec, bool batched = false);
+[[nodiscard]] EmittedKernel emitLboDiffVolumeKernel(const BasisSpec& spec);
 
 /// LBO diffusion interior-face kernel for velocity direction `j`: the
 /// recovery value and slope of the two-cell patch (tensors/dg_tensors.hpp
@@ -88,25 +84,19 @@ struct EmittedKernel {
 /// Gaunt tensor, lifted into both cells (flux term and value term).
 ///   void f(const double* dxv, const double* vtSq,
 ///          const double* fl, const double* fr, double* outl, double* outr)
-[[nodiscard]] EmittedKernel emitLboDiffSurfaceKernel(const BasisSpec& spec, int j,
-                                                    bool batched = false);
+[[nodiscard]] EmittedKernel emitLboDiffSurfaceKernel(const BasisSpec& spec, int j);
 
 /// LBO diffusion kernel of the zero-flux velocity-domain boundary in
 /// direction `j` on `side` (-1 lower, +1 upper): only the value term, from
 /// the one-sided trace of the boundary cell.
 ///   void f(const double* dxv, const double* vtSq, const double* f, double* out)
-[[nodiscard]] EmittedKernel emitLboDiffBoundaryKernel(const BasisSpec& spec, int j, int side,
-                                                     bool batched = false);
+[[nodiscard]] EmittedKernel emitLboDiffBoundaryKernel(const BasisSpec& spec, int j, int side);
 
-/// Render the complete translation unit (all kernels above + registry
-/// registration) for one spec. This is what tools/gen_kernels writes into
-/// src/kernels/gen/.
+/// Render the complete translation unit for one spec: all kernels above,
+/// instantiated for every kKernelLanes entry and registered through one
+/// registerCompiledKernels() call. This is what tools/gen_kernels writes
+/// into src/kernels/gen/vlasov_<spec>.cpp; the build compiles it with the
+/// VDG_KERNEL_SIMD flags.
 [[nodiscard]] std::string emitKernelTranslationUnit(const BasisSpec& spec);
-
-/// Render the sibling SIMD-batched translation unit (vlasov_<spec>_batch.cpp):
-/// `template <int B>` AoSoA variants of every kernel above, instantiated
-/// and registered for each kKernelBatchLanes entry via
-/// registerBatchedKernels(). Compiled with the VDG_KERNEL_SIMD flags.
-[[nodiscard]] std::string emitBatchedKernelTranslationUnit(const BasisSpec& spec);
 
 }  // namespace vdg

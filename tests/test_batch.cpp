@@ -1,8 +1,9 @@
-// Tests of the SIMD-batched (AoSoA) kernel execution path: the batched
-// kernels and the LBO block loops must reproduce the scalar path BITWISE — per
-// lane they perform the same floating-point operations in the same order
-// (dg/batch.hpp documents the contract), so every comparison here is
-// exact equality, not a tolerance.
+// Tests of the lane-blocked (AoSoA) kernel execution path: the B = 4 and
+// B = 8 kernel instantiations and the Vlasov/LBO block loops must reproduce
+// the B = 1 path BITWISE — per lane they perform the same floating-point
+// operations in the same order (dg/batch.hpp documents the contract), so
+// every comparison here is exact equality, not a tolerance. B = 1 itself is
+// checked against the tape interpreter in test_kernels.cpp.
 
 #include <gtest/gtest.h>
 
@@ -76,7 +77,7 @@ double maxAbsDiff(const Field& a, const Field& b) {
 
 TEST(Batch, PackScatterRoundTrip) {
   std::mt19937 rng(11);
-  for (const int B : kKernelBatchLanes) {
+  for (const int B : kKernelLanes) {
     const int n = 37;
     std::vector<std::vector<double>> cells;
     std::vector<const double*> src;
@@ -116,16 +117,20 @@ TEST(Batch, PackScatterRoundTrip) {
 // ------------------------------------------------- registry capabilities
 
 TEST(Batch, RegistryOffersBatchedSetsForEveryGeneratedSpec) {
+  EXPECT_EQ(kMaxKernelLanes, 8);
   for (const std::string& name : listCompiledKernelSpecs()) {
     if (name == "0x0v_p0_test") continue;  // fake entry other tests register
-    const VlasovCompiledKernels* ck = findCompiledKernels(name);
+    const CompiledKernels* ck = findCompiledKernels(name);
     ASSERT_NE(ck, nullptr) << name;
-    // Every generated spec carries a batched sibling for each lane count.
+    // Every generated spec carries a complete set for each lane count.
     const int cdim = name[0] - '0';
     const int vdim = name[2] - '0';
-    for (const int lanes : kKernelBatchLanes)
-      EXPECT_NE(ck->findBatched(lanes, cdim, vdim), nullptr) << name << " B=" << lanes;
-    EXPECT_EQ(ck->maxBatchLanes(cdim, vdim), 8) << name;
+    for (const int lanes : {1, 4, 8}) {
+      const CompiledKernelSet* k = ck->find(lanes, cdim, vdim);
+      ASSERT_NE(k, nullptr) << name << " B=" << lanes;
+      EXPECT_TRUE(k->lbo.complete(vdim)) << name << " B=" << lanes;
+    }
+    EXPECT_EQ(ck->maxLanes(cdim, vdim), 8) << name;
   }
 }
 
@@ -136,7 +141,7 @@ TEST(Batch, DescribeCompiledKernelSpecsReportsLaneCounts) {
     if (line.find("2x3v_p2_ser") == 0) {
       found = true;
       EXPECT_NE(line.find("112 modes"), std::string::npos) << line;
-      EXPECT_NE(line.find("batch lanes {4,8}"), std::string::npos) << line;
+      EXPECT_NE(line.find("lanes {1,4,8}"), std::string::npos) << line;
     }
   EXPECT_TRUE(found);
   // The plain spec listing stays pure names (consumers parse it).
@@ -152,7 +157,11 @@ TEST_P(BatchedBySpec, KernelsMatchScalarBitwise) {
   const BasisSpec spec = GetParam();
   const int cdim = spec.cdim, vdim = spec.vdim, ndim = spec.ndim();
   const int np = basisFor(spec).numModes();
-  const VlasovCompiledKernels* ck = findCompiledKernels(spec.name());
+  const CompiledKernels* entry = findCompiledKernels(spec.name());
+  ASSERT_NE(entry, nullptr);
+  // The reference: the B = 1 instantiation, called lane by lane on each
+  // lane's own (plain-layout) arrays.
+  const CompiledKernelSet* ck = entry->find(1, cdim, vdim);
   ASSERT_NE(ck, nullptr);
 
   std::mt19937 rng(101);
@@ -161,8 +170,8 @@ TEST_P(BatchedBySpec, KernelsMatchScalarBitwise) {
   std::vector<double> dxv(static_cast<std::size_t>(ndim));
   for (double& x : dxv) x = ud(rng);
 
-  for (const int B : kKernelBatchLanes) {
-    const VlasovBatchedKernels* bk = ck->findBatched(B, cdim, vdim);
+  for (const int B : {4, 8}) {
+    const CompiledKernelSet* bk = entry->find(B, cdim, vdim);
     ASSERT_NE(bk, nullptr) << spec.name() << " B=" << B;
 
     // Per-lane random inputs.
@@ -340,7 +349,7 @@ TEST_P(VlasovBatchedUpdater, AdvanceMatchesScalarBitwiseWithRemainders) {
   const BasisSpec spec = GetParam();
   // Box sizes chosen so that every spec fills whole blocks at B = 4 and
   // B = 8 AND leaves a remainder (box sizes not a multiple of either),
-  // exercising the batched and the scalar fall-through paths together.
+  // exercising the block and the B = 1 remainder paths together.
   // Low-dimensional specs need more cells per dimension for that; the
   // 4-D/5-D boxes reach block size through their products (e.g. 3^3 = 27
   // velocity cells).
@@ -371,7 +380,7 @@ TEST_P(VlasovBatchedUpdater, AdvanceMatchesScalarBitwiseWithRemainders) {
   Field rhsScalar(pg, np);
   const double freqScalar = up.advance(f, &em, rhsScalar);
 
-  for (const int B : kKernelBatchLanes) {
+  for (const int B : kKernelLanes) {
     up.setBatchLanes(B);
     ASSERT_EQ(up.activeBatchLanes(), B) << spec.name();
     Field rhsBatched(pg, np);
@@ -403,6 +412,42 @@ INSTANTIATE_TEST_SUITE_P(Specs, VlasovBatchedUpdater,
                                            BasisSpec{2, 3, 2, BasisFamily::Serendipity}),
                          [](const auto& info) { return info.param.name(); });
 
+TEST(Batch, VlasovVelocityBoxSmallerThanOneBlock) {
+  // 3 velocity cells per configuration cell: no volume block and no
+  // configuration-face block fills at B = 8, so those loops run remainders
+  // only (B = 1 on field memory); the 9 velocity-face lines still make one
+  // block of 8 plus a remainder line.
+  const BasisSpec spec{1, 1, 2, BasisFamily::Serendipity};
+  const Grid pg = phaseGridFor(spec, 9, 3);
+  const Grid cg = Grid::make({9}, {0.0}, {2.0 * kPi});
+  const int np = basisFor(spec).numModes();
+  const int npc = basisFor(spec.configSpec()).numModes();
+
+  VlasovUpdater up(spec, pg, VlasovParams{});
+  ASSERT_EQ(up.activeBatchLanes(), 8);
+  VlasovUpdater one(spec, pg, VlasovParams{});
+  one.setBatchLanes(1);
+  VlasovUpdater tape(spec, pg, VlasovParams{});
+  tape.disableCompiledKernels();
+
+  Field f = randomField(pg, np, 21);
+  Field em = randomField(cg, kEmComps * npc, 23);
+  f.syncPeriodic(0);
+  em.syncPeriodic(0);
+  Field rhsAuto(pg, np), rhsOne(pg, np), rhsTape(pg, np);
+  const double freqAuto = up.advance(f, &em, rhsAuto);
+  EXPECT_EQ(freqAuto, one.advance(f, &em, rhsOne));
+  EXPECT_EQ(maxAbsDiff(rhsAuto, rhsOne), 0.0);
+  const double freqTape = tape.advance(f, &em, rhsTape);
+  EXPECT_NEAR(freqAuto, freqTape, 1e-12 * freqTape);
+  double maxAbs = 0.0;
+  forEachCell(pg, [&](const MultiIndex& idx) {
+    for (int l = 0; l < np; ++l) maxAbs = std::max(maxAbs, std::abs(rhsTape.at(idx)[l]));
+  });
+  EXPECT_GT(maxAbs, 0.0);
+  EXPECT_LT(maxAbsDiff(rhsAuto, rhsTape), 1e-11 * maxAbs);
+}
+
 // ------------------------------------------ updater-level identity (LBO)
 
 TEST(Batch, LboAdvanceMatchesScalarBitwiseWithRemainders) {
@@ -433,7 +478,7 @@ TEST(Batch, LboAdvanceMatchesScalarBitwiseWithRemainders) {
   rhsScalar.setZero();
   const double freqScalar = lbo.advance(f, rhsScalar);
 
-  for (const int B : kKernelBatchLanes) {
+  for (const int B : kKernelLanes) {
     lbo.setBatchLanes(B);
     Field rhsBatched(pg, np);
     rhsBatched.setZero();

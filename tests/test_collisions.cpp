@@ -397,9 +397,9 @@ TEST(Bgk, AdvanceIsAllocationFreeAfterWarmup) {
 }
 
 TEST(Lbo, AdvanceIsAllocationFreeAfterWarmup) {
-  // Compiled kernels on both the scalar and the batched cell loops; the
-  // velocity boxes leave remainders that take the scalar kernels. Serial,
-  // and through a one-thread pool (which takes the job as a std::function).
+  // Compiled kernels at B = 1 and at the widest lane count; the velocity
+  // boxes leave remainders that take the B = 1 kernels. Serial, and
+  // through a one-thread pool (which takes the job as a std::function).
   ThreadExec pool(1);
   const std::array<ThreadExec*, 2> execs = {nullptr, &pool};
   const std::array<BasisSpec, 3> specs = {BasisSpec{1, 1, 2, BasisFamily::Serendipity},

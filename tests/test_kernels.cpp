@@ -2,7 +2,10 @@
 // reproduce the sparse-tape interpreter to machine precision — both paths
 // evaluate the same exactly-integrated tensors, one as unrolled compiled
 // source (the paper's deployed form), one as data. Covers the Vlasov
-// updater and the LBO collision operator, for every generated spec.
+// updater and the LBO collision operator, for every generated spec. The
+// updaters run the B = 1 instantiation on every cell here; test_batch.cpp
+// pins the wider lane counts to B = 1 bitwise, so the tape is the
+// independent oracle for all of them.
 
 #include <gtest/gtest.h>
 
@@ -67,18 +70,19 @@ TEST(CompiledKernels, DuplicateRegistrationIsCountedAndLastWins) {
   // stays valid under --gtest_repeat (re-registrations persist).
   const int before = numDuplicateKernelRegistrations();
 
-  const VlasovCompiledKernels* orig = findCompiledKernels("1x1v_p1_ten");
+  const CompiledKernels* orig = findCompiledKernels("1x1v_p1_ten");
   ASSERT_NE(orig, nullptr);
-  const VlasovCompiledKernels saved = *orig;
+  const CompiledKernels saved = *orig;
 
-  VlasovCompiledKernels clone = saved;
+  CompiledKernels clone = saved;
   registerCompiledKernels("1x1v_p1_ten", clone);
   EXPECT_EQ(numDuplicateKernelRegistrations(), before + 1);
   // Last registration wins but the entry set is unchanged.
   EXPECT_EQ(static_cast<int>(listCompiledKernelSpecs().size()), numCompiledKernelSets());
-  const VlasovCompiledKernels* now = findCompiledKernels("1x1v_p1_ten");
+  const CompiledKernels* now = findCompiledKernels("1x1v_p1_ten");
   ASSERT_NE(now, nullptr);
-  EXPECT_EQ(now->streamVol, saved.streamVol);
+  for (int i = 0; i < kNumKernelLanes; ++i)
+    EXPECT_EQ(now->sets[i].streamVol, saved.sets[i].streamVol);
 
   // A registration for a fresh spec name is not a duplicate (on repeat
   // runs the fake entry already exists, so it counts as one then).
@@ -107,8 +111,11 @@ TEST_P(CompiledBySpec, MatchesTapeInterpreter) {
   params.flux = FluxType::Penalty;  // the flux the generated kernels bake in
   VlasovUpdater fast(spec, pg, params);
   ASSERT_TRUE(fast.usesCompiledKernels()) << spec.name();
+  fast.setBatchLanes(1);
+  ASSERT_EQ(fast.activeBatchLanes(), 1);
   VlasovUpdater slow(spec, pg, params);
   slow.disableCompiledKernels();
+  ASSERT_FALSE(slow.usesCompiledKernels());
 
   Field f = randomField(pg, np, 3);
   Field em = randomField(cg, kEmComps * npc, 5);
@@ -138,6 +145,7 @@ TEST_P(CompiledBySpec, MatchesTapeForFreeStreaming) {
   const int np = basisFor(spec).numModes();
   VlasovParams params;
   VlasovUpdater fast(spec, pg, params);
+  fast.setBatchLanes(1);
   VlasovUpdater slow(spec, pg, params);
   slow.disableCompiledKernels();
   Field f = randomField(pg, np, 17);
@@ -198,6 +206,8 @@ TEST_P(LboCompiledBySpec, MatchesTapeInterpreter) {
   for (const bool momentFix : {true, false}) {
     LboUpdater fast(spec, pg, LboParams{1.0, 1.7, momentFix});
     ASSERT_TRUE(fast.usesCompiledKernels()) << spec.name();
+    fast.setBatchLanes(1);
+    ASSERT_EQ(fast.activeBatchLanes(), 1);
     LboUpdater slow(spec, pg, LboParams{1.0, 1.7, momentFix});
     slow.disableCompiledKernels();
     ASSERT_FALSE(slow.usesCompiledKernels());
@@ -214,6 +224,7 @@ TEST_P(LboCompiledBySpec, MatchesTapeInterpreter) {
 
   // The raw drag and diffusion pieces, on the primitive moments of f.
   LboUpdater fast(spec, pg, LboParams{});
+  fast.setBatchLanes(1);
   LboUpdater slow(spec, pg, LboParams{});
   slow.disableCompiledKernels();
   const Grid cg = fast.confGrid();
@@ -250,13 +261,12 @@ const BasisSpec kGeneratedSpecs[] = {
 TEST(CompiledKernels, EveryGeneratedSpecCarriesLboKernels) {
   int generated = 0;
   for (const BasisSpec& spec : kGeneratedSpecs) {
-    const VlasovCompiledKernels* ck = findCompiledKernels(spec.name());
+    const CompiledKernels* ck = findCompiledKernels(spec.name());
     ASSERT_NE(ck, nullptr) << spec.name();
-    EXPECT_TRUE(ck->lbo.complete(spec.vdim)) << spec.name();
-    for (const int lanes : kKernelBatchLanes) {
-      const VlasovBatchedKernels* bk = ck->findBatched(lanes, spec.cdim, spec.vdim);
-      ASSERT_NE(bk, nullptr) << spec.name();
-      EXPECT_TRUE(bk->lbo.complete(spec.vdim)) << spec.name() << " B=" << lanes;
+    for (const int lanes : kKernelLanes) {
+      const CompiledKernelSet* k = ck->find(lanes, spec.cdim, spec.vdim);
+      ASSERT_NE(k, nullptr) << spec.name();
+      EXPECT_TRUE(k->lbo.complete(spec.vdim)) << spec.name() << " B=" << lanes;
     }
     ++generated;
   }

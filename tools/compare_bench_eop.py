@@ -7,8 +7,9 @@ when either
 
   * the batched Vlasov Eop throughput regressed more than --tolerance
     (default 15%) below the baseline, or
-  * the batched path fell below the scalar path measured in the same
-    run — the batched kernels must never be a pessimization, or
+  * the batched path fell below the B = 1 path (the "scalar" keys)
+    measured in the same run — the batched kernels must never be a
+    pessimization, or
   * the profiler-enabled Vlasov Eop (eop.vlasov_profiled, present in
     current files once bench_eop grew the instrumented column) fell more
     than --max-overhead (default 2%) below the uninstrumented Eop of the
@@ -21,7 +22,7 @@ when either
     moment correction, within 3x of the collisionless step.
 
 Absolute Eop numbers are hardware-dependent, so CI runners should
-refresh the baseline when the fleet changes; the scalar-vs-batched
+refresh the baseline when the fleet changes; the B = 1-vs-batched
 ordering check is hardware-independent.
 
 Usage: tools/compare_bench_eop.py CURRENT.json [--baseline PATH]

@@ -54,29 +54,14 @@ int main(int argc, char** argv) {
   };
 
   for (const BasisSpec& spec : specs) {
-    {
-      const std::string path = outDir + "/vlasov_" + spec.name() + ".cpp";
-      std::ofstream os(path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 1;
-      }
-      os << emitKernelTranslationUnit(spec);
-      std::printf("wrote %s\n", path.c_str());
+    const std::string path = outDir + "/vlasov_" + spec.name() + ".cpp";
+    std::ofstream os(path);
+    if (!os) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
     }
-    {
-      // Sibling SIMD-batched unit; separate file so the build can give it
-      // wider-ISA flags (VDG_KERNEL_SIMD) while the scalar unit keeps the
-      // baseline ISA.
-      const std::string path = outDir + "/vlasov_" + spec.name() + "_batch.cpp";
-      std::ofstream os(path);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 1;
-      }
-      os << emitBatchedKernelTranslationUnit(spec);
-      std::printf("wrote %s\n", path.c_str());
-    }
+    os << emitKernelTranslationUnit(spec);
+    std::printf("wrote %s\n", path.c_str());
   }
 
   // Manifest: the registry calls this to register every generated set
@@ -86,15 +71,10 @@ int main(int argc, char** argv) {
     std::ofstream os(path);
     os << "// AUTO-GENERATED by tools/gen_kernels — DO NOT EDIT BY HAND.\n"
        << "// Registration manifest for the generated kernel translation units.\n";
-    for (const BasisSpec& spec : specs) {
-      os << "namespace vdg::gen_" << spec.name() << " { void registerKernels(); }\n"
-         << "namespace vdg::gen_" << spec.name() << "_batch { void registerKernels(); }\n";
-    }
+    for (const BasisSpec& spec : specs)
+      os << "namespace vdg::gen_" << spec.name() << " { void registerKernels(); }\n";
     os << "\nnamespace vdg::detail {\n\nvoid registerGeneratedKernels() {\n";
-    for (const BasisSpec& spec : specs) {
-      os << "  vdg::gen_" << spec.name() << "::registerKernels();\n"
-         << "  vdg::gen_" << spec.name() << "_batch::registerKernels();\n";
-    }
+    for (const BasisSpec& spec : specs) os << "  vdg::gen_" << spec.name() << "::registerKernels();\n";
     os << "}\n\n}  // namespace vdg::detail\n";
     std::printf("wrote %s\n", path.c_str());
   }
